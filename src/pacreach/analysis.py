@@ -176,7 +176,7 @@ def _count_exact_or_fallback(learned: MonomialSet, alphabet: tuple[str, ...],
 
 def _run_one(sul: SafetyQuery, machine: MealyMachine | None, model_name: str,
              horizon: int, sample_budget: int, seed: int, learner_seed: int,
-             mc_seed: int, oracle_semantics: str, count_cap: int,
+             mc_seed: int, oracle_semantics: str,
              max_sample_attempts: int) -> AnalysisReport:
     cfg = LearnerConfig(
         horizon=horizon, sample_budget=sample_budget,
@@ -187,7 +187,7 @@ def _run_one(sul: SafetyQuery, machine: MealyMachine | None, model_name: str,
     total = len(alphabet) ** horizon
     formula = learned.count_formula(len(alphabet))
     exact, used, upper, clipped = _count_exact_or_fallback(
-        learned, alphabet, count_cap)
+        learned, alphabet, DEFAULT_COUNT_CAP)
     bound = solve_confidence(sample_budget, used)
     baseline = monte_carlo(sul, horizon, sample_budget, mc_seed)
     exact_paths = exact_prob = None
@@ -224,7 +224,6 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
             target_confidence: float | None = None,
             d_bound: int | None = None, seed: int = DEFAULT_SEED,
             oracle_semantics: str = ORACLE_ALL_SAFE,
-            count_cap: int = DEFAULT_COUNT_CAP,
             max_sample_attempts: int = 100_000,
             max_confidence_rounds: int = 8) -> AnalysisReport:
     """Full pipeline against a machine (white-box) or a SafetyQuery.
@@ -257,7 +256,7 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
             sul, machine, model_name, horizon, budget, seed,
             learner_seed=derive_seed(seed, f"learner:{label}"),
             mc_seed=derive_seed(seed, f"monte-carlo:{label}"),
-            oracle_semantics=oracle_semantics, count_cap=count_cap,
+            oracle_semantics=oracle_semantics,
             max_sample_attempts=max_sample_attempts)
 
     if sample_budget is not None:

@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 validation/parse error, 3 transport error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 from pathlib import Path
@@ -52,8 +53,13 @@ def _add_target_flags(p: argparse.ArgumentParser):
                    help="reconnect attempts for black boxes")
 
 
-def _make_target(args):
-    """Returns (target for analyze, machine or None, display name)."""
+@contextlib.contextmanager
+def _open_target(args):
+    """Yields (target for analyze, machine or None, display name).
+
+    A black box's connection, and the child process behind ``--cmd``, is
+    closed when the block exits.
+    """
     chosen = [name for name, val in
               (("--model", args.model), ("--endpoint", args.endpoint),
                ("--cmd", args.cmd)) if val]
@@ -62,14 +68,16 @@ def _make_target(args):
             "exactly one of --model / --endpoint / --cmd is required")
     if args.model:
         machine = resolve_model(args.model)
-        return machine, machine, Path(args.model).stem
+        yield machine, machine, Path(args.model).stem
+        return
     tokens = frozenset(
         t for t in (args.unsafe_outputs or "").split(",") if t)
     config = BlackBoxConfig(
         command=args.cmd, address=args.endpoint, unsafe_outputs=tokens,
         timeout=args.timeout, max_retries=args.retries)
     name = args.endpoint or args.cmd.split()[0]
-    return RemoteSafetyQuery(config), None, name
+    with RemoteSafetyQuery(config) as remote:
+        yield remote, None, name
 
 
 def _emit(text: str, out: str | None):
@@ -102,12 +110,12 @@ def _render_report(report: analysis.AnalysisReport, fmt: str | None) -> str:
 
 
 def _cmd_analyze(args) -> int:
-    target, _machine, name = _make_target(args)
-    report = analysis.analyze(
-        target, horizon=args.n, model_name=name,
-        sample_budget=args.samples, target_confidence=args.confidence,
-        d_bound=args.d_bound, seed=args.seed,
-        oracle_semantics=args.oracle_semantics)
+    with _open_target(args) as (target, _machine, name):
+        report = analysis.analyze(
+            target, horizon=args.n, model_name=name,
+            sample_budget=args.samples, target_confidence=args.confidence,
+            d_bound=args.d_bound, seed=args.seed,
+            oracle_semantics=args.oracle_semantics)
     _emit(_render_report(report, args.format), args.out)
     return 0
 
@@ -124,10 +132,10 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    target, machine, _name = _make_target(args)
-    sul = MachineSafetyQuery(machine) if machine is not None else target
-    seed = derive_seed(args.seed, "estimate")
-    mc = monte_carlo(sul, args.n, args.samples, seed)
+    with _open_target(args) as (target, machine, _name):
+        sul = MachineSafetyQuery(machine) if machine is not None else target
+        seed = derive_seed(args.seed, "estimate")
+        mc = monte_carlo(sul, args.n, args.samples, seed)
     print(f"samples: {mc.samples}")
     print(f"safe_hits: {mc.safe_hits}")
     print(f"estimate: {mc.estimate!r}")

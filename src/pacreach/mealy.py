@@ -12,7 +12,7 @@ import io
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, ResourceCapError, ValidationError
+from .errors import ParseError, ValidationError
 
 __all__ = [
     "MealyMachine",
@@ -21,11 +21,6 @@ __all__ = [
     "serialize_model",
     "load_model",
 ]
-
-# Exhaustive state-space sweeps refuse to enumerate more than this many
-# sequences unless the caller raises the cap explicitly.
-DEFAULT_ENUM_CAP = 2_000_000
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -119,25 +114,6 @@ class MealyMachine:
 
     def is_safe(self, seq: Sequence[str]) -> bool:
         return self.trace(seq).safe
-
-    def reachable_set(self, n: int, enum_cap: int = DEFAULT_ENUM_CAP) -> set[str]:
-        """States reachable by at least one input sequence of length exactly n.
-
-        Works breadth-first over the state set rather than enumerating
-        the |I|^n sequences, but honours the same cap so callers get the
-        identical failure mode on silly horizons.
-        """
-        if n < 1:
-            raise ValidationError(f"horizon must be >= 1, got {n}")
-        if len(self.inputs) ** n > enum_cap:
-            raise ResourceCapError(
-                f"{len(self.inputs)}^{n} sequences exceeds enumeration cap "
-                f"{enum_cap}")
-        frontier = {self.initial}
-        for _ in range(n):
-            frontier = {self.transitions[(s, i)][0]
-                        for s in frontier for i in self.inputs}
-        return frontier
 
 
 # -- text format -------------------------------------------------------------

@@ -22,9 +22,9 @@ from .errors import ParseError, ResourceCapError, ValidationError
 
 __all__ = ["Monomial", "MonomialSet"]
 
-# count_exact refuses to materialize unions larger than this; callers
-# fall back to the formula count flagged as an upper bound.
-DEFAULT_COUNT_CAP = 5_000_000
+# count_exact gives up after visiting this many (position, live set)
+# states; callers fall back to the formula count flagged as an upper bound.
+DEFAULT_COUNT_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -105,16 +105,6 @@ class Monomial:
             yield tuple(bmap[p] if p in bmap else fill[p]
                         for p in range(1, self.horizon + 1))
 
-    def conflicts_with(self, other: "Monomial") -> bool:
-        """True iff the two monomials cover no common sequence."""
-        om = other.binding_map
-        return any(om.get(pos, sym) != sym for pos, sym in self.bindings)
-
-    def merged_length(self, other: "Monomial") -> int:
-        """Bound positions of the intersection monomial (when compatible)."""
-        return len({pos for pos, _ in self.bindings} |
-                   {pos for pos, _ in other.bindings})
-
     def __str__(self) -> str:
         inner = ", ".join(f"{pos}={sym}" for pos, sym in self.bindings)
         return "{" + inner + "}"
@@ -178,65 +168,68 @@ class MonomialSet:
                     cap: int = DEFAULT_COUNT_CAP) -> int:
         """Number of distinct sequences covered by the union.
 
-        Uses inclusion-exclusion over conflict-free member subsets when
-        that looks cheap, otherwise materializes the union as a set.
-        Raises ResourceCapError when both routes would exceed ``cap``.
+        Counting a union of cubes is #DNF, which is #P-hard in general;
+        Karp, Luby and Madras (J. Algorithms 10(3), 1989) give a
+        randomized approximation. This count is exact. It walks
+        positions 1..n and keys each prefix by the bitmask of members
+        still consistent with it; prefixes with the same key have the
+        same completions, so each (position, live set) pair is counted
+        once. A live member with no bound position left covers all
+        k ** (n - pos + 1) completions. Otherwise each symbol that some
+        live member binds at ``pos`` gets its own branch, and all other
+        symbols share one branch weighted by how many of them there are.
+
+        Raises ResourceCapError once more than ``cap`` (position, live
+        set) pairs have been visited; adversarial sets can need
+        exponentially many.
         """
-        if not self.monomials:
-            return 0
-        k = len(self.alphabet_checked(alphabet))
-        formula = self.count_formula(k)
-        if self._pairwise_disjoint():
-            return formula
-        if len(self.monomials) <= 20:
-            return self._count_inclusion_exclusion(k)
-        if formula > cap:
-            raise ResourceCapError(
-                f"union enumeration bounded by {formula} sequences exceeds "
-                f"cap {cap}")
-        union: set[tuple[str, ...]] = set()
-        for m in self.monomials:
-            union.update(m.expand(alphabet))
-        return len(union)
-
-    def alphabet_checked(self, alphabet: Sequence[str]) -> Sequence[str]:
-        symbols = {sym for m in self.monomials for _, sym in m.bindings}
-        missing = sorted(symbols - set(alphabet))
-        if missing:
-            raise ValidationError(f"bound symbols not in alphabet: {missing}")
-        return alphabet
-
-    def _pairwise_disjoint(self) -> bool:
-        ms = self.monomials
-        return all(ms[i].conflicts_with(ms[j])
-                   for i in range(len(ms)) for j in range(i + 1, len(ms)))
-
-    def _count_inclusion_exclusion(self, alphabet_size: int) -> int:
-        """|union| via inclusion-exclusion, pruning conflicting subsets.
-
-        An intersection of compatible monomials is itself a monomial
-        whose bound set is the union of theirs; a conflicting pair kills
-        the whole subtree, which keeps this tractable for the set sizes
-        the learner produces.
-        """
-        ms = self.monomials
-        n = self.horizon
-
-        def walk(start: int, merged: dict[int, str], depth: int) -> int:
-            total = 0
-            for idx in range(start, len(ms)):
-                m = ms[idx]
-                bmap = m.binding_map
-                if any(merged.get(pos, sym) != sym
-                       for pos, sym in m.bindings):
+        unknown = sorted({sym for m in self.monomials
+                          for _, sym in m.bindings} - set(alphabet))
+        if unknown:
+            raise ValidationError(f"bound symbols not in alphabet: {unknown}")
+        k, n = len(alphabet), self.horizon
+        # Per position: members that leave it free, members with no bound
+        # position at or after it, and per symbol the members binding it.
+        free = [0] * (n + 2)
+        done = [0] * (n + 2)
+        bound: list[dict[str, int]] = [{} for _ in range(n + 2)]
+        for i, m in enumerate(self.monomials):
+            bit = 1 << i
+            bmap = m.binding_map
+            last = max(bmap, default=0)
+            for pos in range(1, n + 2):
+                if pos > last:
+                    done[pos] |= bit
+                if pos in bmap:
+                    bound[pos][bmap[pos]] = bound[pos].get(bmap[pos], 0) | bit
+                else:
+                    free[pos] |= bit
+        total = 0
+        visited = 0
+        frontier = {(1 << len(self.monomials)) - 1: 1}
+        for pos in range(1, n + 2):
+            successors: dict[int, int] = {}
+            for live, ways in frontier.items():
+                if live & done[pos]:
+                    total += ways * k ** (n - pos + 1)
                     continue
-                joined = merged | bmap
-                term = alphabet_size ** (n - len(joined))
-                sign = 1 if depth % 2 == 0 else -1
-                total += sign * term + walk(idx + 1, joined, depth + 1)
-            return total
-
-        return walk(0, {}, 0)
+                stay = live & free[pos]
+                others = k
+                for members in bound[pos].values():
+                    hit = live & members
+                    if hit:
+                        others -= 1
+                        nxt = stay | hit
+                        successors[nxt] = successors.get(nxt, 0) + ways
+                if stay and others:
+                    successors[stay] = successors.get(stay, 0) + ways * others
+                if visited + len(successors) > cap:
+                    raise ResourceCapError(
+                        f"exact union count visited more than {cap} "
+                        f"(position, live set) states")
+            visited += len(successors)
+            frontier = successors
+        return total
 
     # -- text form -----------------------------------------------------------
 

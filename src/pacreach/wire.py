@@ -108,7 +108,11 @@ class _Channel:
                 raise TransportError("connection closed by peer")
             self._buf += chunk
         line, _, self._buf = self._buf.partition(b"\n")
-        return line.decode("utf-8").rstrip("\r")
+        try:
+            return line.decode("utf-8").rstrip("\r")
+        except UnicodeDecodeError as exc:
+            raise TransportError(f"reply is not UTF-8: {line[:40]!r}") \
+                from exc
 
     def close(self):
         self._sel.close()

@@ -13,7 +13,7 @@ from pacreach.bounds import required_samples, safety_probability, \
     solve_confidence
 from pacreach.errors import ResourceCapError, ValidationError
 from pacreach.models import build_alks
-from pacreach.monomials import Monomial, MonomialSet
+from pacreach.monomials import DEFAULT_COUNT_CAP, Monomial, MonomialSet
 from pacreach.seeding import derive_seed
 from pacreach.sul import MachineSafetyQuery
 
@@ -106,7 +106,7 @@ def test_target_confidence_doubling_eventually_gives_up():
                 seed=7, max_confidence_rounds=1)
 
 
-def test_count_cap_degrades_to_the_formula_upper_bound():
+def test_count_cap_degrades_to_the_formula_upper_bound(monkeypatch):
     # frozen run: at this row seed the learner produces 53 monomials
     # covering 99 distinct sequences, formula count 111
     machine = build_alks(False)
@@ -114,8 +114,8 @@ def test_count_cap_degrades_to_the_formula_upper_bound():
     full = analyze(machine, horizon=5, sample_budget=1000, seed=seed)
     assert (full.covered_exact, full.covered_formula) == (99, 111)
 
-    capped = analyze(machine, horizon=5, sample_budget=1000, seed=seed,
-                     count_cap=50)
+    monkeypatch.setattr("pacreach.analysis.DEFAULT_COUNT_CAP", 10)
+    capped = analyze(machine, horizon=5, sample_budget=1000, seed=seed)
     assert capped.covered_exact is None
     assert capped.covered_used == capped.covered_formula == 111
     assert capped.covered_is_upper_bound
@@ -125,8 +125,8 @@ def test_count_cap_degrades_to_the_formula_upper_bound():
 
 
 def test_fallback_clips_the_count_at_the_sequence_total():
-    # more than twenty overlapping members whose formula count exceeds
-    # the total number of sequences: the usable count clips to the total
+    # overlapping members whose formula count exceeds the total number
+    # of sequences: the usable count clips to the total
     members = []
     for a in "xyz":
         for b in "xyz":
@@ -135,9 +135,23 @@ def test_fallback_clips_the_count_at_the_sequence_total():
     learned = MonomialSet(3, tuple(members[:22]))
     assert learned.count_formula(3) > 27
     exact, used, upper, clipped = _count_exact_or_fallback(
-        learned, ("x", "y", "z"), count_cap=10)
+        learned, ("x", "y", "z"), count_cap=1)
     assert exact is None
     assert used == 27
+    assert upper and clipped
+
+
+def test_adversarial_set_hits_the_default_cap_and_is_flagged():
+    # each member binds position i and i + 20 to one symbol, so the live
+    # set after 20 positions records every choice: 2^20 walk states
+    n = 40
+    learned = MonomialSet(n, tuple(
+        Monomial.from_map(n, {i: s, i + 20: s})
+        for i in range(1, 21) for s in "ab"))
+    exact, used, upper, clipped = _count_exact_or_fallback(
+        learned, ("a", "b"), count_cap=DEFAULT_COUNT_CAP)
+    assert exact is None
+    assert used == 2 ** n
     assert upper and clipped
 
 

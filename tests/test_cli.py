@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import shlex
 import socket
 import subprocess
 import sys
@@ -116,6 +118,37 @@ def test_exit_code_for_unreachable_endpoint(capsys):
                            "-L", "10", "--retries", "0")
     assert code == 3
     assert "transport error" in err
+
+
+def test_exit_code_for_a_peer_sending_invalid_utf8(capsys):
+    script = ("import sys\n"
+              "for line in sys.stdin:\n"
+              "    sys.stdout.buffer.write(b'OK \\xff\\xfe\\n')\n"
+              "    sys.stdout.flush()\n")
+    code, _, err = run_cli(capsys, "analyze", "--cmd",
+                           f"{sys.executable} -c {shlex.quote(script)}",
+                           "--unsafe-outputs", "alarm", "-n", "3",
+                           "-L", "10", "--retries", "0")
+    assert code == 3
+    assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "estimate"])
+def test_the_cmd_child_has_exited_when_main_returns(command, tmp_path,
+                                                    capsys):
+    pid_file = tmp_path / "child.pid"
+    script = (f"import os, sys\n"
+              f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+              f"from pacreach.cli import main\n"
+              f"sys.exit(main(['serve-model', '--model', 'alks_without']))\n")
+    code, _, _ = run_cli(capsys, command, "--cmd",
+                         f"{sys.executable} -c {shlex.quote(script)}",
+                         "--unsafe-outputs", "alarm", "-n", "3", "-L", "20")
+    assert code == 0
+    # a child that was waited for is gone; one still running, or exited
+    # but never reaped, still answers signal 0
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 def test_exit_code_when_sampling_never_finds_a_safe_run(capsys):

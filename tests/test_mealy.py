@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pacreach.errors import ParseError, ResourceCapError, ValidationError
+from pacreach.errors import ParseError, ValidationError
 from pacreach.mealy import MealyMachine, parse_model, serialize_model
 from pacreach.models import build_alks
 
@@ -64,35 +64,6 @@ def test_trace_from_explicit_start():
     assert WTO.trace(["l"], start="L").final_state == "A"
     with pytest.raises(ValidationError):
         WTO.trace(["l"], start="nope")
-
-
-def test_reachable_set_examples():
-    assert WTO.reachable_set(1) == {"C", "L", "R"}
-    assert WTO.reachable_set(2) == {"C", "L", "R", "A"}
-
-
-def test_reachable_set_self_loop_machine():
-    loop = MealyMachine(
-        states=("q",), inputs=("a", "b"), outputs=("o",),
-        transitions={("q", "a"): ("q", "o"), ("q", "b"): ("q", "o")},
-        initial="q", safe_states=frozenset({"q"}))
-    assert loop.reachable_set(1) == {"q"}
-
-
-def test_reachable_set_members_are_witnessed():
-    # every claimed-reachable state is hit by some concrete sequence
-    for n in (1, 2, 3, 4):
-        reached = WTO.reachable_set(n)
-        witnessed = {WTO.trace(seq).final_state
-                     for seq in itertools.product(WTO.inputs, repeat=n)}
-        assert reached == witnessed
-
-
-def test_reachable_set_cap():
-    with pytest.raises(ResourceCapError):
-        WTO.reachable_set(20, enum_cap=1000)
-    with pytest.raises(ValidationError):
-        WTO.reachable_set(0)
 
 
 # -- construction validation ---------------------------------------------------

@@ -197,9 +197,24 @@ def test_count_exact_equals_formula_when_pairwise_disjoint():
     assert g.count_exact(alphabet) == g.count_formula(3)
 
 
+@settings(max_examples=300)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 30), st.data())
+def test_count_exact_matches_brute_force_on_generated_sets(n, k, size, data):
+    # None marks a don't-care, so the empty monomial is among the draws
+    alphabet = "abcd"[:k]
+    row = st.lists(st.sampled_from((None,) + tuple(alphabet)),
+                   min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=size, max_size=size))
+    g = MonomialSet(n, tuple(dict.fromkeys(
+        mono(n, {p: s for p, s in enumerate(r, start=1) if s})
+        for r in rows)))
+    covered = sum(1 for seq in itertools.product(alphabet, repeat=n)
+                  if g.covers(seq))
+    assert g.count_exact(alphabet) == covered
+
+
 def test_count_exact_cap_on_giant_union():
-    # >20 members so the inclusion-exclusion route is skipped, and a cap
-    # tighter than the formula bound
+    # three overlapping families whose walk needs more states than the cap
     members = tuple(mono(6, {1: "a", 2: a, 3: b, 4: c})
                     for a in "ab" for b in "ab" for c in "ab") + tuple(
         mono(6, {2: "a", 3: a, 4: b, 5: c})
