@@ -176,11 +176,9 @@ def _count_exact_or_fallback(learned: MonomialSet, alphabet: tuple[str, ...],
 
 def _run_one(sul: SafetyQuery, machine: MealyMachine | None, model_name: str,
              horizon: int, sample_budget: int, seed: int, learner_seed: int,
-             mc_seed: int, oracle_semantics: str,
-             max_sample_attempts: int) -> AnalysisReport:
+             mc_seed: int, oracle_semantics: str) -> AnalysisReport:
     cfg = LearnerConfig(
-        horizon=horizon, sample_budget=sample_budget,
-        max_sample_attempts=max_sample_attempts, rng_seed=learner_seed,
+        horizon=horizon, sample_budget=sample_budget, rng_seed=learner_seed,
         oracle_semantics=oracle_semantics)
     learned, stats = learn_safe_set(sul, cfg)
     alphabet = sul.input_alphabet
@@ -224,7 +222,6 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
             target_confidence: float | None = None,
             d_bound: int | None = None, seed: int = DEFAULT_SEED,
             oracle_semantics: str = ORACLE_ALL_SAFE,
-            max_sample_attempts: int = 100_000,
             max_confidence_rounds: int = 8) -> AnalysisReport:
     """Full pipeline against a machine (white-box) or a SafetyQuery.
 
@@ -256,8 +253,7 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
             sul, machine, model_name, horizon, budget, seed,
             learner_seed=derive_seed(seed, f"learner:{label}"),
             mc_seed=derive_seed(seed, f"monte-carlo:{label}"),
-            oracle_semantics=oracle_semantics,
-            max_sample_attempts=max_sample_attempts)
+            oracle_semantics=oracle_semantics)
 
     if sample_budget is not None:
         if sample_budget < 1:

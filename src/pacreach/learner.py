@@ -45,37 +45,18 @@ DEFAULT_ORACLE_EXPANSION_CAP = 1_000_000
 class LearnerConfig:
     horizon: int
     sample_budget: int
-    max_sample_attempts: int = DEFAULT_SAMPLE_ATTEMPT_CAP
     rng_seed: int = 0
-    generalization_order: tuple[int, ...] | None = None
     oracle_semantics: str = ORACLE_ALL_SAFE
-    oracle_expansion_cap: int = DEFAULT_ORACLE_EXPANSION_CAP
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if self.sample_budget < 1:
             raise ValidationError("sample budget must be >= 1")
-        if self.max_sample_attempts < 1:
-            raise ValidationError("max_sample_attempts must be >= 1")
-        if self.oracle_expansion_cap < 1:
-            raise ValidationError("oracle_expansion_cap must be >= 1")
         if self.oracle_semantics not in (ORACLE_ALL_SAFE,
                                          ORACLE_PAPER_LITERAL):
             raise ValidationError(
                 f"unknown oracle semantics {self.oracle_semantics!r}")
-        if self.generalization_order is not None:
-            if sorted(self.generalization_order) != \
-                    list(range(1, self.horizon + 1)):
-                raise ValidationError(
-                    "generalization_order must be a permutation of "
-                    f"1..{self.horizon}")
-
-    @property
-    def order(self) -> tuple[int, ...]:
-        if self.generalization_order is not None:
-            return self.generalization_order
-        return tuple(range(1, self.horizon + 1))
 
 
 @dataclass
@@ -166,19 +147,17 @@ def learn_safe_set(sul: SafetyQuery,
     for _ in range(cfg.sample_budget):
         before = sul.query_count
         example = draw_safe_example(sul, cfg.horizon, rng,
-                                    cfg.max_sample_attempts)
+                                    DEFAULT_SAMPLE_ATTEMPT_CAP)
         stats.sample_attempts += sul.query_count - before
         stats.examples_drawn += 1
         if learned.implies(example):
             stats.examples_skipped_implied += 1
             continue
         calls_before = stats.oracle_calls
-        for pos in cfg.order:
-            if pos not in example.binding_map:
-                continue
+        for pos in range(1, cfg.horizon + 1):
             candidate = example.without(pos)
             if query_oracle(sul, candidate, cfg.oracle_semantics,
-                            cfg.oracle_expansion_cap, stats):
+                            DEFAULT_ORACLE_EXPANSION_CAP, stats):
                 example = candidate
         learned = learned.add(example)
         log.info("appended %s (oracle calls %d)", example,

@@ -97,15 +97,13 @@ class MealyMachine:
                 raise ValidationError(f"unknown input symbol {sym!r}") from None
             raise ValidationError(f"unknown state {state!r}") from None
 
-    def trace(self, seq: Sequence[str], start: str | None = None) -> RunResult:
-        """Execute ``seq`` from ``start`` (default: the initial state).
+    def trace(self, seq: Sequence[str]) -> RunResult:
+        """Execute ``seq`` from the initial state.
 
         Returns the final state, the per-step output trace and the
         safety verdict (final state in the safe set).
         """
-        state = self.initial if start is None else start
-        if start is not None and start not in set(self.states):
-            raise ValidationError(f"unknown start state {start!r}")
+        state = self.initial
         outs = []
         for sym in seq:
             state, out = self.step(state, sym)

@@ -1,120 +1,32 @@
 """Bundled case-study machines and generators for test corpora.
 
-The two lane-keeping variants differ only in the four transitions
-leaving the alarm state: without assistance the alarm state is
-absorbing, with assistance every input steers back to centre in one
+Each bundled machine is defined once, by its ``.machine`` file under
+``data/``. The two lane-keeping variants differ only in the four
+transitions leaving the alarm state: without assistance the alarm state
+is absorbing, with assistance every input steers back to centre in one
 step. The coffee machine is a best-effort reconstruction (see the
 README caveat): its behaviour on length-2 sequences is pinned down, its
 longer-horizon counts are reported rather than asserted.
 
-Machines are also shipped as ``.machine`` files under ``data/`` so the
-CLI, the wire server and external tools can load them without touching
-Python. ``PACREACH_MODEL_DIR`` overrides where bundled names resolve.
+``BUNDLED`` and ``build_alks`` always parse the packaged files.
+``PACREACH_MODEL_DIR`` overrides where bundled names resolve only for
+``bundled_path`` and ``resolve_model``, which the CLI and the wire
+server use.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
 from .errors import ValidationError
 from .mealy import MealyMachine, load_model
 
-__all__ = ["build_alks", "build_coffee", "build_all_safe", "build_none_safe",
-           "random_machine", "BUNDLED", "bundled_path", "resolve_model"]
-
-
-def build_alks(with_assist: bool) -> MealyMachine:
-    """The lane-keeping machine: centre C, drifted L/R, alarm A.
-
-    Steering into the drift direction twice raises the alarm. With
-    assistance on, any input recovers from A back to C; with it off, A
-    absorbs.
-    """
-    t = {
-        ("C", "l"): ("L", "ok"),
-        ("C", "r"): ("R", "ok"),
-        ("C", "s"): ("C", "ok"),
-        ("L", "l"): ("A", "alarm"),
-        ("L", "r"): ("C", "ok"),
-        ("L", "s"): ("L", "ok"),
-        ("R", "l"): ("C", "ok"),
-        ("R", "r"): ("A", "alarm"),
-        ("R", "s"): ("R", "ok"),
-    }
-    for sym in "lrs":
-        t[("A", sym)] = ("C", "ok") if with_assist else ("A", "alarm")
-    return MealyMachine(
-        states=("C", "L", "R", "A"),
-        inputs=("l", "r", "s"),
-        outputs=("ok", "alarm"),
-        transitions=t,
-        initial="C",
-        safe_states=frozenset({"C", "L", "R"}),
-    )
-
-
-def build_coffee() -> MealyMachine:
-    """Best-effort coffee machine reconstruction.
-
-    States track what has been loaded: a empty, b water, c pod, d both,
-    e dispensed, f error (absorbing). Pressing the button anywhere but
-    d errors; after dispensing, only cleaning is acceptable. Every
-    button-free length-2 sequence is safe and every other length-2
-    sequence is not, which is the constraint the reconstruction is
-    built to satisfy.
-    """
-    table = {
-        "a": {"clean": ("a", "ok"), "water": ("b", "ok"),
-              "pod": ("c", "ok"), "button": ("f", "error")},
-        "b": {"clean": ("a", "ok"), "water": ("b", "ok"),
-              "pod": ("d", "ok"), "button": ("f", "error")},
-        "c": {"clean": ("a", "ok"), "water": ("d", "ok"),
-              "pod": ("c", "ok"), "button": ("f", "error")},
-        "d": {"clean": ("a", "ok"), "water": ("d", "ok"),
-              "pod": ("d", "ok"), "button": ("e", "coffee")},
-        "e": {"clean": ("a", "ok"), "water": ("f", "error"),
-              "pod": ("f", "error"), "button": ("f", "error")},
-        "f": {"clean": ("f", "error"), "water": ("f", "error"),
-              "pod": ("f", "error"), "button": ("f", "error")},
-    }
-    return MealyMachine(
-        states=tuple(table),
-        inputs=("clean", "water", "pod", "button"),
-        outputs=("ok", "coffee", "error"),
-        transitions={(s, i): dst for s, row in table.items()
-                     for i, dst in row.items()},
-        initial="a",
-        safe_states=frozenset("abcde"),
-    )
-
-
-def build_all_safe(alphabet_size: int = 3) -> MealyMachine:
-    """One safe state, self-loops everywhere: every sequence is safe."""
-    inputs = tuple(f"i{k}" for k in range(alphabet_size))
-    return MealyMachine(
-        states=("S",),
-        inputs=inputs,
-        outputs=("ok",),
-        transitions={("S", i): ("S", "ok") for i in inputs},
-        initial="S",
-        safe_states=frozenset({"S"}),
-    )
-
-
-def build_none_safe(alphabet_size: int = 3) -> MealyMachine:
-    """Same shape with an empty safe set: no sequence is safe."""
-    base = build_all_safe(alphabet_size)
-    return MealyMachine(
-        states=base.states,
-        inputs=base.inputs,
-        outputs=base.outputs,
-        transitions=base.transitions,
-        initial=base.initial,
-        safe_states=frozenset(),
-    )
+__all__ = ["build_alks", "random_machine", "BUNDLED", "bundled_path",
+           "resolve_model"]
 
 
 def random_machine(num_states: int, alphabet_size: int,
@@ -158,13 +70,27 @@ def random_machine(num_states: int, alphabet_size: int,
 
 # -- bundled files -------------------------------------------------------------
 
-BUNDLED = {
-    "alks_without": lambda: build_alks(with_assist=False),
-    "alks_with": lambda: build_alks(with_assist=True),
-    "coffee": build_coffee,
-    "all_safe": build_all_safe,
-    "none_safe": build_none_safe,
-}
+def _packaged_path(fname: str) -> Path:
+    return Path(str(resources.files(__package__).joinpath("data", fname)))
+
+
+def _load_packaged(name: str) -> MealyMachine:
+    return load_model(_packaged_path(name + ".machine"))
+
+
+def build_alks(with_assist: bool) -> MealyMachine:
+    """The lane-keeping machine: centre C, drifted L/R, alarm A.
+
+    Steering into the drift direction twice raises the alarm. With
+    assistance on, any input recovers from A back to C; with it off, A
+    absorbs.
+    """
+    return _load_packaged("alks_with" if with_assist else "alks_without")
+
+
+BUNDLED = {name: partial(_load_packaged, name)
+           for name in ("alks_without", "alks_with", "coffee", "all_safe",
+                        "none_safe")}
 
 MODEL_DIR_ENV = "PACREACH_MODEL_DIR"
 
@@ -181,8 +107,7 @@ def bundled_path(name: str) -> Path:
         candidate = Path(override) / fname
         if candidate.exists():
             return candidate
-    packaged = resources.files(__package__).joinpath("data", fname)
-    return Path(str(packaged))
+    return _packaged_path(fname)
 
 
 def resolve_model(name_or_path: str) -> MealyMachine:

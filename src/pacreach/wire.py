@@ -22,6 +22,7 @@ black-box path can be exercised against a known model.
 
 from __future__ import annotations
 
+import logging
 import os
 import selectors
 import shlex
@@ -36,6 +37,8 @@ from .mealy import MealyMachine
 from .sul import SafetyQuery
 
 __all__ = ["BlackBoxConfig", "RemoteSafetyQuery", "serve_stdio", "serve_tcp"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,12 @@ class _ModelSession:
         self.machine = machine
         self.state = machine.initial
 
-    def respond(self, line: str) -> str:
+    def respond(self, line: str | bytes) -> str:
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError:
+                return "ERR request is not UTF-8"
         tokens = line.split()
         if not tokens:
             return "ERR empty request"
@@ -271,12 +279,21 @@ class _ModelSession:
 
 
 def serve_stdio(machine: MealyMachine, stdin=None, stdout=None):
-    """Answer protocol requests on stdio until EOF. Blocks."""
-    stdin = stdin if stdin is not None else sys.stdin
-    stdout = stdout if stdout is not None else sys.stdout
+    """Answer protocol requests on stdio until EOF. Blocks.
+
+    ``stdin`` yields request lines as text or bytes; ``stdout`` takes
+    text. By default the server reads the raw bytes of ``sys.stdin``,
+    so a request that is not UTF-8 gets an ``ERR`` reply instead of
+    stopping it, and writes UTF-8 to ``sys.stdout`` whatever the
+    locale.
+    """
+    stdin = stdin if stdin is not None else sys.stdin.buffer
+    if stdout is None:
+        stdout = sys.stdout
+        stdout.reconfigure(encoding="utf-8")
     session = _ModelSession(machine)
     for raw in stdin:
-        stdout.write(session.respond(raw.strip()) + "\n")
+        stdout.write(session.respond(raw) + "\n")
         stdout.flush()
 
 
@@ -288,6 +305,7 @@ def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
     socket is listening; with ``port=0`` that is the only way to learn
     the ephemeral port. ``max_sessions`` bounds how many client
     connections are served before returning (None = serve forever).
+    A connection error ends only the session it happens in.
     """
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -299,13 +317,16 @@ def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
     served = 0
     try:
         while max_sessions is None or served < max_sessions:
-            conn, _addr = server.accept()
+            conn, addr = server.accept()
             served += 1
             session = _ModelSession(machine)
-            with conn, conn.makefile("rwb") as stream:
-                for raw in stream:
-                    reply = session.respond(raw.decode("utf-8").strip())
-                    stream.write((reply + "\n").encode("utf-8"))
-                    stream.flush()
+            try:
+                with conn, conn.makefile("rwb") as stream:
+                    for raw in stream:
+                        stream.write((session.respond(raw) + "\n")
+                                     .encode("utf-8"))
+                        stream.flush()
+            except OSError as exc:
+                log.warning("session with %s ended: %s", addr, exc)
     finally:
         server.close()

@@ -3,8 +3,7 @@ import pytest
 from pacreach.baselines import (exact_count_dp, exact_count_enumerate,
                                 monte_carlo)
 from pacreach.errors import ResourceCapError, ValidationError
-from pacreach.models import (build_alks, build_all_safe, build_coffee,
-                             build_none_safe, random_machine)
+from pacreach.models import BUNDLED, build_alks, random_machine
 from pacreach.sul import MachineSafetyQuery
 
 
@@ -25,12 +24,12 @@ def test_dp_long_horizon():
 
 
 def test_dp_trivial_machines():
-    assert exact_count_dp(build_all_safe(), 4).probability == 1.0
-    assert exact_count_dp(build_none_safe(), 4).safe_paths == 0
+    assert exact_count_dp(BUNDLED["all_safe"](), 4).probability == 1.0
+    assert exact_count_dp(BUNDLED["none_safe"](), 4).safe_paths == 0
 
 
 def test_dp_agrees_with_enumeration_on_shipped_models():
-    for machine in (build_alks(False), build_alks(True), build_coffee()):
+    for machine in (build_alks(False), build_alks(True), BUNDLED["coffee"]()):
         for n in range(1, 6):
             dp = exact_count_dp(machine, n)
             brute = exact_count_enumerate(machine, n)
@@ -106,9 +105,9 @@ def test_monte_carlo_fields_and_determinism():
 
 
 def test_monte_carlo_trivial_machines():
-    assert monte_carlo(MachineSafetyQuery(build_all_safe()), 3, 200,
+    assert monte_carlo(MachineSafetyQuery(BUNDLED["all_safe"]()), 3, 200,
                        seed=1).estimate == 1.0
-    assert monte_carlo(MachineSafetyQuery(build_none_safe()), 3, 200,
+    assert monte_carlo(MachineSafetyQuery(BUNDLED["none_safe"]()), 3, 200,
                        seed=1).estimate == 0.0
 
 

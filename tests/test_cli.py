@@ -291,3 +291,28 @@ def test_help_via_module_invocation():
     for name in ("analyze", "exact", "estimate", "sample-size",
                  "confidence", "reproduce-table", "serve-model"):
         assert name in out.stdout
+
+
+def test_serve_model_stdio_answers_a_request_that_is_not_utf8():
+    proc = subprocess.run(
+        [sys.executable, "-m", "pacreach.cli", "serve-model",
+         "--model", "alks_without", "--stdio"],
+        input=b"ALPHABET\n\xff\xfe\nRESET\n", capture_output=True,
+        timeout=30, env={**os.environ, "PYTHONIOENCODING": "utf-8"})
+    assert proc.returncode == 0, proc.stderr
+    replies = proc.stdout.splitlines()
+    assert len(replies) == 3
+    assert replies[0] == b"OK l r s"
+    assert replies[1].startswith(b"ERR")
+    assert replies[2] == b"OK"
+
+
+def test_serve_model_stdio_replies_in_utf8_under_an_ascii_locale():
+    proc = subprocess.run(
+        [sys.executable, "-m", "pacreach.cli", "serve-model",
+         "--model", "alks_without", "--stdio"],
+        input="é\nRESET\n".encode("utf-8"), capture_output=True,
+        timeout=30, env={**os.environ, "PYTHONIOENCODING": "ascii"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode("utf-8").splitlines() == \
+        ["ERR unknown command é", "OK"]

@@ -4,13 +4,13 @@ import random
 
 import pytest
 
+from pacreach import learner
 from pacreach.errors import (SamplingCapError, TransportError,
                              ValidationError)
 from pacreach.learner import (ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL,
                               LearnerConfig, LearnerStats, draw_safe_example,
                               learn_safe_set, query_oracle)
-from pacreach.models import (build_alks, build_all_safe, build_coffee,
-                             build_none_safe)
+from pacreach.models import BUNDLED, build_alks
 from pacreach.monomials import Monomial
 from pacreach.sul import MachineSafetyQuery, SafetyQuery
 
@@ -27,19 +27,6 @@ def test_config_validation():
         LearnerConfig(horizon=3, sample_budget=0)
     with pytest.raises(ValidationError):
         LearnerConfig(horizon=3, sample_budget=10, oracle_semantics="maybe")
-    with pytest.raises(ValidationError):
-        LearnerConfig(horizon=3, sample_budget=10,
-                      generalization_order=(1, 2))
-    with pytest.raises(ValidationError):
-        LearnerConfig(horizon=3, sample_budget=10,
-                      generalization_order=(1, 2, 2))
-
-
-def test_config_order_defaults_to_ascending():
-    assert LearnerConfig(horizon=4, sample_budget=1).order == (1, 2, 3, 4)
-    cfg = LearnerConfig(horizon=3, sample_budget=1,
-                        generalization_order=(3, 1, 2))
-    assert cfg.order == (3, 1, 2)
 
 
 def test_draw_safe_example_returns_fully_bound_safe_sequence():
@@ -53,7 +40,7 @@ def test_draw_safe_example_returns_fully_bound_safe_sequence():
 
 
 def test_draw_safe_example_gives_up_when_nothing_is_safe():
-    sul = MachineSafetyQuery(build_none_safe())
+    sul = MachineSafetyQuery(BUNDLED["none_safe"]())
     with pytest.raises(SamplingCapError) as info:
         draw_safe_example(sul, 3, random.Random(0), max_attempts=25)
     assert info.value.attempts == 25
@@ -104,7 +91,7 @@ def test_query_oracle_counts_sequence_queries():
 
 
 def test_query_oracle_expansion_cap_refuses_not_fabricates(caplog):
-    sul = MachineSafetyQuery(build_all_safe())
+    sul = MachineSafetyQuery(BUNDLED["all_safe"]())
     candidate = Monomial.from_map(5, {1: "i0"})
     with caplog.at_level(logging.WARNING, logger="pacreach.learner"):
         verdict = query_oracle(sul, candidate, expansion_cap=10)
@@ -114,7 +101,7 @@ def test_query_oracle_expansion_cap_refuses_not_fabricates(caplog):
 
 
 def test_learn_on_all_safe_machine_collapses_to_one_empty_monomial():
-    sul = MachineSafetyQuery(build_all_safe())
+    sul = MachineSafetyQuery(BUNDLED["all_safe"]())
     learned, stats = learn_safe_set(
         sul, LearnerConfig(horizon=4, sample_budget=6, rng_seed=3))
     assert len(learned) == 1
@@ -170,7 +157,7 @@ def test_learned_monomials_are_maximally_general():
 
 def test_learning_is_deterministic_for_a_seed():
     def run():
-        sul = MachineSafetyQuery(build_coffee())
+        sul = MachineSafetyQuery(BUNDLED["coffee"]())
         learned, stats = learn_safe_set(
             sul, LearnerConfig(horizon=4, sample_budget=120, rng_seed=77))
         stats.wall_time = 0.0
@@ -217,12 +204,13 @@ def test_any_safe_oracle_overgeneralizes():
     assert run(ORACLE_PAPER_LITERAL) == (27, 10)
 
 
-def test_expansion_cap_degrades_to_fully_bound_monomials(caplog):
+def test_expansion_cap_degrades_to_fully_bound_monomials(caplog,
+                                                        monkeypatch):
+    monkeypatch.setattr(learner, "DEFAULT_ORACLE_EXPANSION_CAP", 1)
     sul = MachineSafetyQuery(build_alks(False))
     with caplog.at_level(logging.WARNING, logger="pacreach.learner"):
         learned, stats = learn_safe_set(
-            sul, LearnerConfig(horizon=3, sample_budget=30, rng_seed=1,
-                               oracle_expansion_cap=1))
+            sul, LearnerConfig(horizon=3, sample_budget=30, rng_seed=1))
     assert all(m.free_positions == () for m in learned)
     assert stats.oracle_sequence_queries == 0
     assert "exceeds cap" in caplog.text

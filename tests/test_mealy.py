@@ -1,7 +1,6 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pacreach.errors import ParseError, ValidationError
 from pacreach.mealy import MealyMachine, parse_model, serialize_model
@@ -45,25 +44,6 @@ def test_trace_unknown_symbol():
 def test_trace_is_deterministic():
     seq = ("l", "r", "s", "l")
     assert WTO.trace(seq) == WTO.trace(seq)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.sampled_from("lrs"), min_size=0, max_size=6),
-       st.lists(st.sampled_from("lrs"), min_size=0, max_size=6))
-def test_trace_prefix_compositionality(first, second):
-    # running the concatenation = running the suffix from where the
-    # prefix landed
-    whole = WTO.trace(list(first) + list(second))
-    mid = WTO.trace(first)
-    rest = WTO.trace(second, start=mid.final_state)
-    assert whole.final_state == rest.final_state
-    assert whole.output_trace == mid.output_trace + rest.output_trace
-
-
-def test_trace_from_explicit_start():
-    assert WTO.trace(["l"], start="L").final_state == "A"
-    with pytest.raises(ValidationError):
-        WTO.trace(["l"], start="nope")
 
 
 # -- construction validation ---------------------------------------------------

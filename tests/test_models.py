@@ -4,20 +4,20 @@ import pytest
 
 from pacreach.baselines import exact_count_dp
 from pacreach.errors import ValidationError
-from pacreach.mealy import load_model
-from pacreach.models import (BUNDLED, build_alks, build_all_safe,
-                             build_coffee, build_none_safe, bundled_path,
+from pacreach.mealy import load_model, serialize_model
+from pacreach.models import (BUNDLED, build_alks, bundled_path,
                              random_machine, resolve_model)
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
-def test_bundled_files_match_their_builders(name):
-    from_file = load_model(bundled_path(name))
-    built = BUNDLED[name]()
-    assert from_file.transitions == built.transitions
-    assert from_file.initial == built.initial
-    assert from_file.safe_states == built.safe_states
-    assert from_file.inputs == built.inputs
+def test_bundled_loaders_ignore_the_model_dir_override(name, tmp_path,
+                                                       monkeypatch):
+    packaged = load_model(bundled_path(name))
+    decoy = random_machine(1, 2, 0.0, seed=0)
+    (tmp_path / f"{name}.machine").write_text(serialize_model(decoy))
+    monkeypatch.setenv("PACREACH_MODEL_DIR", str(tmp_path))
+    assert resolve_model(name) == decoy
+    assert BUNDLED[name]() == packaged
 
 
 def test_lane_keeping_variants_differ_only_at_the_alarm_state():
@@ -47,28 +47,28 @@ def test_assistance_only_helps():
 
 
 def test_coffee_pins_down_length_two_behaviour():
-    machine = build_coffee()
+    machine = BUNDLED["coffee"]()
     for pair in itertools.product(machine.inputs, repeat=2):
         assert machine.is_safe(pair) == ("button" not in pair)
 
 
 def test_coffee_reference_counts():
-    machine = build_coffee()
+    machine = BUNDLED["coffee"]()
     assert exact_count_dp(machine, 2).safe_paths == 9
     assert exact_count_dp(machine, 5).safe_paths == 283
 
 
 def test_coffee_happy_path_dispenses():
-    machine = build_coffee()
+    machine = BUNDLED["coffee"]()
     run = machine.trace(("water", "pod", "button"))
     assert run.output_trace[-1] == "coffee"
     assert run.safe
 
 
 def test_trivial_machines():
-    assert build_all_safe(2).inputs == ("i0", "i1")
-    assert build_all_safe().is_safe(("i0", "i2", "i1"))
-    assert not build_none_safe().is_safe(("i0",))
+    assert random_machine(1, 2, 0.0, seed=0).inputs == ("i0", "i1")
+    assert BUNDLED["all_safe"]().is_safe(("i0", "i2", "i1"))
+    assert not BUNDLED["none_safe"]().is_safe(("i0",))
 
 
 def test_random_machine_is_deterministic_in_the_seed():
@@ -128,8 +128,7 @@ def test_resolve_model_rejects_unknown_names():
 def test_model_dir_override(tmp_path, monkeypatch):
     # an overriding directory wins for names it contains and falls back
     # to the packaged file otherwise
-    custom = build_all_safe(alphabet_size=2)
-    from pacreach.mealy import serialize_model
+    custom = random_machine(1, 2, 0.0, seed=0)
     (tmp_path / "coffee.machine").write_text(serialize_model(custom))
     monkeypatch.setenv("PACREACH_MODEL_DIR", str(tmp_path))
     assert resolve_model("coffee") == custom

@@ -59,8 +59,8 @@ def test_random_input_shape_and_membership():
 
 
 def test_random_input_single_symbol_alphabet():
-    from pacreach.models import build_all_safe
-    sul = MachineSafetyQuery(build_all_safe(alphabet_size=1))
+    from pacreach.models import random_machine
+    sul = MachineSafetyQuery(random_machine(1, 1, 0.0, seed=0))
     assert sul.random_input(4, random.Random(0)) == ("i0",) * 4
 
 

@@ -1,5 +1,7 @@
+import logging
 import random
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -7,13 +9,40 @@ import threading
 import pytest
 
 from pacreach.errors import TransportError, ValidationError
-from pacreach.models import build_alks, build_coffee
+from pacreach.models import BUNDLED, build_alks
 from pacreach.sul import MachineSafetyQuery
 from pacreach.wire import (BlackBoxConfig, RemoteSafetyQuery, _ModelSession,
                            serve_tcp)
 
 SERVE_WTO = (f"{sys.executable} -m pacreach.cli serve-model "
              f"--model alks_without.machine --stdio")
+
+
+def _serve_in_thread(machine, max_sessions):
+    addr = {}
+    ready = threading.Event()
+
+    def on_ready(host, port):
+        addr["value"] = (host, port)
+        ready.set()
+
+    server = threading.Thread(
+        target=serve_tcp, args=(machine,),
+        kwargs=dict(ready=on_ready, max_sessions=max_sessions), daemon=True)
+    server.start()
+    assert ready.wait(5)
+    return server, addr["value"]
+
+
+def _ask(sock, request: bytes) -> bytes:
+    sock.sendall(request)
+    reply = b""
+    while not reply.endswith(b"\n"):
+        chunk = sock.recv(4096)
+        if not chunk:
+            break
+        reply += chunk
+    return reply
 
 
 def test_config_validation():
@@ -60,21 +89,10 @@ def test_stdio_black_box_agrees_with_in_process():
 
 
 def test_tcp_black_box_agrees_with_in_process():
-    machine = build_coffee()
+    machine = BUNDLED["coffee"]()
     local = MachineSafetyQuery(machine)
-    addr = {}
-    ready = threading.Event()
-
-    def on_ready(host, port):
-        addr["value"] = f"{host}:{port}"
-        ready.set()
-
-    server = threading.Thread(
-        target=serve_tcp, args=(machine,),
-        kwargs=dict(ready=on_ready, max_sessions=1), daemon=True)
-    server.start()
-    assert ready.wait(5)
-    cfg = BlackBoxConfig(address=addr["value"],
+    server, (host, port) = _serve_in_thread(machine, max_sessions=1)
+    cfg = BlackBoxConfig(address=f"{host}:{port}",
                          unsafe_outputs=frozenset({"error"}))
     rng = random.Random(4)
     with RemoteSafetyQuery(cfg) as remote:
@@ -158,3 +176,30 @@ def test_retry_reconnects_after_a_dropped_connection():
         remote._drop()  # simulate a dropped connection
         assert remote.is_safe(["l", "l"]) is False
         assert remote.query_count == 2
+
+
+def test_a_request_that_is_not_utf8_does_not_stop_the_tcp_server():
+    server, addr = _serve_in_thread(build_alks(False), max_sessions=2)
+    with socket.create_connection(addr, timeout=5) as bad:
+        assert _ask(bad, b"\xff\xfe\n").startswith(b"ERR")
+        assert _ask(bad, b"RESET\n") == b"OK\n"
+    with socket.create_connection(addr, timeout=5) as good:
+        assert _ask(good, b"ALPHABET\n") == b"OK l r s\n"
+    server.join(5)
+    assert not server.is_alive()
+
+
+def test_a_reset_connection_ends_only_its_own_session(caplog):
+    server, addr = _serve_in_thread(build_alks(False), max_sessions=2)
+    with caplog.at_level(logging.WARNING, logger="pacreach.wire"):
+        rude = socket.create_connection(addr, timeout=5)
+        rude.sendall(b"ALPHABET\n" * 1000)
+        # close with RST while replies are still in flight
+        rude.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        rude.close()
+        with socket.create_connection(addr, timeout=5) as good:
+            assert _ask(good, b"ALPHABET\n") == b"OK l r s\n"
+        server.join(5)
+    assert not server.is_alive()
+    assert "ended" in caplog.text
