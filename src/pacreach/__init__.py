@@ -19,7 +19,7 @@ from .learner import (LearnerConfig, LearnerStats, draw_safe_example,
                       learn_safe_set, query_oracle)
 from .mealy import MealyMachine, RunResult, load_model, parse_model, \
     serialize_model
-from .models import build_alks, random_machine
+from .models import build_alks
 from .monomials import Monomial, MonomialSet
 from .seeding import derive_seed
 from .sul import MachineSafetyQuery, SafetyQuery
@@ -39,7 +39,7 @@ __all__ = [
     "query_oracle",
     "MealyMachine", "RunResult", "load_model", "parse_model",
     "serialize_model",
-    "build_alks", "random_machine",
+    "build_alks",
     "Monomial", "MonomialSet",
     "derive_seed",
     "MachineSafetyQuery", "SafetyQuery",

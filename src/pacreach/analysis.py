@@ -41,6 +41,8 @@ FORMAT_VERSION = "1"
 
 DEFAULT_SEED = 7
 
+MAX_CONFIDENCE_ROUNDS = 8  # budget doublings in target-confidence mode
+
 TABLE_MODELS = ("alks_without", "alks_with")
 TABLE_HORIZONS = (3, 4, 5, 10)
 TABLE_BUDGET = 1000
@@ -161,11 +163,9 @@ def reports_to_json_lines(reports: Sequence[AnalysisReport]) -> str:
 
 
 def _count_exact_or_fallback(learned: MonomialSet, alphabet: tuple[str, ...],
-                             count_cap: int) -> tuple[int | None, int, bool, bool]:
+                             formula: int, total: int, count_cap: int
+                             ) -> tuple[int | None, int, bool, bool]:
     """Returns (exact, used, is_upper_bound, clipped)."""
-    alphabet_size = len(alphabet)
-    formula = learned.count_formula(alphabet_size)
-    total = alphabet_size ** learned.horizon
     try:
         exact = learned.count_exact(alphabet, cap=count_cap)
         return exact, exact, False, False
@@ -185,7 +185,7 @@ def _run_one(sul: SafetyQuery, machine: MealyMachine | None, model_name: str,
     total = len(alphabet) ** horizon
     formula = learned.count_formula(len(alphabet))
     exact, used, upper, clipped = _count_exact_or_fallback(
-        learned, alphabet, DEFAULT_COUNT_CAP)
+        learned, alphabet, formula, total, DEFAULT_COUNT_CAP)
     bound = solve_confidence(sample_budget, used)
     baseline = monte_carlo(sul, horizon, sample_budget, mc_seed)
     exact_paths = exact_prob = None
@@ -221,8 +221,7 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
             sample_budget: int | None = None,
             target_confidence: float | None = None,
             d_bound: int | None = None, seed: int = DEFAULT_SEED,
-            oracle_semantics: str = ORACLE_ALL_SAFE,
-            max_confidence_rounds: int = 8) -> AnalysisReport:
+            oracle_semantics: str = ORACLE_ALL_SAFE) -> AnalysisReport:
     """Full pipeline against a machine (white-box) or a SafetyQuery.
 
     Exactly one of ``sample_budget`` and ``target_confidence`` selects
@@ -230,7 +229,7 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
     budget from the bound, which needs the covered-count's magnitude up
     front: pass ``d_bound`` as an upper estimate, or leave it out to let
     the budget be doubled until the achieved confidence reaches the
-    target (at most ``max_confidence_rounds`` runs).
+    target (at most ``MAX_CONFIDENCE_ROUNDS`` runs).
     """
     if isinstance(target, MealyMachine):
         machine: MealyMachine | None = target
@@ -269,14 +268,14 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
     # No covered-count bound given: double the budget until the achieved
     # confidence catches up with the target.
     budget = required_samples(rate, 0)
-    for round_no in range(max_confidence_rounds):
+    for round_no in range(MAX_CONFIDENCE_ROUNDS):
         report = run(budget, f"round{round_no}")
         if report.confidence >= target_confidence:
             return report
         budget *= 2
     raise ResourceCapError(
         f"confidence {target_confidence} not reached within "
-        f"{max_confidence_rounds} doubling rounds (budget reached "
+        f"{MAX_CONFIDENCE_ROUNDS} doubling rounds (budget reached "
         f"{budget}); pass d_bound or lower the target")
 
 

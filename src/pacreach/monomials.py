@@ -1,13 +1,14 @@
 """Generalized input sequences and the counting behind the estimator.
 
-A monomial fixes the input symbol at some of the n time steps and
-leaves the rest as don't-cares; it stands for the set of all concrete
-length-n sequences that agree with its bound positions. A monomial set
-is a disjunction of those. The sum formula count (alphabet size raised
-to the number of free positions, summed over members) can over-count
-when members overlap, so an exact union count is provided alongside it.
+A monomial is a partial input assignment over the n time steps: a
+length-n tuple whose entry i is the input symbol bound at step i+1, or
+None for a don't-care. It stands for the set of all concrete length-n
+sequences that agree with its bound positions. A monomial set is a
+disjunction of those. The sum formula count (alphabet size raised to
+the number of don't-cares, summed over members) can over-count when
+members overlap, so an exact union count is provided alongside it.
 
-Time steps are 1-indexed, matching the report format {1=clean, 2=water}.
+Time steps are 1-indexed in the text form, {1=clean, 2=water}.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import ParseError, ResourceCapError, ValidationError
 
@@ -29,84 +29,63 @@ DEFAULT_COUNT_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class Monomial:
-    """A partial map from time step (1..horizon) to an input symbol."""
+    """Per time step, the bound input symbol or None for a don't-care."""
 
-    horizon: int
-    bindings: tuple[tuple[int, str], ...]
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
-        seen = set()
-        for pos, _sym in self.bindings:
-            if not 1 <= pos <= self.horizon:
-                raise ValidationError(
-                    f"bound position {pos} outside 1..{self.horizon}")
-            if pos in seen:
-                raise ValidationError(f"position {pos} bound twice")
-            seen.add(pos)
-        ordered = tuple(sorted(self.bindings))
-        if ordered != self.bindings:
-            object.__setattr__(self, "bindings", ordered)
+    symbols: tuple[str | None, ...]
 
     @classmethod
     def from_map(cls, horizon: int, bindings: dict[int, str]) -> "Monomial":
-        return cls(horizon, tuple(sorted(bindings.items())))
+        """Bind ``bindings[pos]`` at each 1-indexed step ``pos``."""
+        if horizon < 1:
+            raise ValidationError(f"horizon must be >= 1, got {horizon}")
+        for pos in bindings:
+            if not 1 <= pos <= horizon:
+                raise ValidationError(
+                    f"bound position {pos} outside 1..{horizon}")
+        return cls(tuple(bindings.get(pos) for pos in range(1, horizon + 1)))
 
     @classmethod
     def from_sequence(cls, seq: Sequence[str]) -> "Monomial":
         """The fully-bound monomial matching exactly one sequence."""
-        return cls(len(seq), tuple(enumerate(seq, start=1)))
-
-    @cached_property
-    def binding_map(self) -> dict[int, str]:
-        return dict(self.bindings)
+        return cls(tuple(seq))
 
     @property
-    def length(self) -> int:
-        """Number of bound positions."""
-        return len(self.bindings)
-
-    @property
-    def free_positions(self) -> tuple[int, ...]:
-        bound = {pos for pos, _ in self.bindings}
-        return tuple(p for p in range(1, self.horizon + 1) if p not in bound)
+    def horizon(self) -> int:
+        return len(self.symbols)
 
     def without(self, pos: int) -> "Monomial":
-        """Copy with the binding at ``pos`` dropped (a generalization)."""
-        return Monomial(self.horizon,
-                        tuple(b for b in self.bindings if b[0] != pos))
+        """Copy with the binding at step ``pos`` dropped (a generalization)."""
+        if not 1 <= pos <= self.horizon:
+            raise ValidationError(f"step {pos} outside 1..{self.horizon}")
+        return Monomial(self.symbols[:pos - 1] + (None,) + self.symbols[pos:])
 
     def covers(self, seq: Sequence[str]) -> bool:
         """True iff ``seq`` agrees with every bound position."""
         if len(seq) != self.horizon:
             raise ValidationError(
                 f"sequence length {len(seq)} != horizon {self.horizon}")
-        return all(seq[pos - 1] == sym for pos, sym in self.bindings)
+        return all(s is None or s == x for s, x in zip(self.symbols, seq))
 
     def expansion_size(self, alphabet_size: int) -> int:
-        return alphabet_size ** (self.horizon - self.length)
+        return alphabet_size ** self.symbols.count(None)
 
     def expand(self, alphabet: Sequence[str]) -> Iterator[tuple[str, ...]]:
-        """Yield every concrete sequence this monomial covers.
+        """Iterate over every concrete sequence this monomial covers.
 
         Don't-care positions run through ``alphabet`` in its declared
         order, least significant position last, so the emission order is
         lexicographic over the free positions and deterministic.
         """
-        bmap = self.binding_map
-        unknown = sorted(set(bmap.values()) - set(alphabet))
+        unknown = sorted(set(self.symbols) - {None} - set(alphabet))
         if unknown:
             raise ValidationError(
                 f"bound symbols not in alphabet: {unknown}")
-        free = self.free_positions
-        for combo in itertools.product(alphabet, repeat=len(free)):
-            fill = dict(zip(free, combo))
-            yield tuple(bmap[p] if p in bmap else fill[p]
-                        for p in range(1, self.horizon + 1))
+        return itertools.product(
+            *(alphabet if s is None else (s,) for s in self.symbols))
 
     def __str__(self) -> str:
-        inner = ", ".join(f"{pos}={sym}" for pos, sym in self.bindings)
+        inner = ", ".join(f"{pos}={s}" for pos, s in
+                          enumerate(self.symbols, start=1) if s is not None)
         return "{" + inner + "}"
 
 
@@ -140,7 +119,7 @@ class MonomialSet:
         return any(m.covers(seq) for m in self.monomials)
 
     def implies(self, v: Monomial) -> bool:
-        """True iff some member's bindings are a subset of v's.
+        """True iff some member's bound positions are all bound alike in v.
 
         Then every expansion of v is an expansion of that member. The
         test is sound but incomplete: v might be covered jointly by
@@ -150,8 +129,14 @@ class MonomialSet:
         if v.horizon != self.horizon:
             raise ValidationError(
                 f"horizon mismatch: {v.horizon} vs {self.horizon}")
-        vb = set(v.bindings)
-        return any(set(m.bindings) <= vb for m in self.monomials)
+        vs = v.symbols
+        for m in self.monomials:
+            for s, t in zip(m.symbols, vs):
+                if s is not None and s != t:
+                    break
+            else:
+                return True
+        return False
 
     def add(self, m: Monomial) -> "MonomialSet":
         return MonomialSet(self.horizon, self.monomials + (m,))
@@ -183,8 +168,8 @@ class MonomialSet:
         set) pairs have been visited; adversarial sets can need
         exponentially many.
         """
-        unknown = sorted({sym for m in self.monomials
-                          for _, sym in m.bindings} - set(alphabet))
+        unknown = sorted({sym for m in self.monomials for sym in m.symbols}
+                         - {None} - set(alphabet))
         if unknown:
             raise ValidationError(f"bound symbols not in alphabet: {unknown}")
         k, n = len(alphabet), self.horizon
@@ -195,15 +180,15 @@ class MonomialSet:
         bound: list[dict[str, int]] = [{} for _ in range(n + 2)]
         for i, m in enumerate(self.monomials):
             bit = 1 << i
-            bmap = m.binding_map
-            last = max(bmap, default=0)
-            for pos in range(1, n + 2):
-                if pos > last:
-                    done[pos] |= bit
-                if pos in bmap:
-                    bound[pos][bmap[pos]] = bound[pos].get(bmap[pos], 0) | bit
-                else:
+            last = 0
+            for pos, sym in enumerate(m.symbols, start=1):
+                if sym is None:
                     free[pos] |= bit
+                else:
+                    bound[pos][sym] = bound[pos].get(sym, 0) | bit
+                    last = pos
+            for pos in range(last + 1, n + 2):
+                done[pos] |= bit
         total = 0
         visited = 0
         frontier = {(1 << len(self.monomials)) - 1: 1}
@@ -253,6 +238,9 @@ class MonomialSet:
                     raise ParseError("expected 'n=<horizon>' header",
                                      line=lineno)
                 horizon = int(m.group(1))
+                if horizon < 1:
+                    raise ParseError(f"horizon must be >= 1, got {horizon}",
+                                     line=lineno)
                 continue
             if not (line.startswith("{") and line.endswith("}")):
                 raise ParseError("expected '{pos=sym, ...}'", line=lineno)
@@ -264,7 +252,11 @@ class MonomialSet:
                     if not bm:
                         raise ParseError(
                             f"bad binding {part.strip()!r}", line=lineno)
-                    bindings[int(bm.group(1))] = bm.group(2)
+                    pos = int(bm.group(1))
+                    if pos in bindings:
+                        raise ParseError(f"position {pos} bound twice",
+                                         line=lineno)
+                    bindings[pos] = bm.group(2)
             try:
                 members.append(Monomial.from_map(horizon, bindings))
             except ValidationError as exc:

@@ -139,8 +139,15 @@ def _connect(config: BlackBoxConfig) -> _Channel:
             try:
                 proc.terminate()
                 proc.wait(timeout=2)
-            except Exception:
+            except subprocess.TimeoutExpired:
                 proc.kill()
+                proc.wait()
+            finally:
+                stdout.close()
+                try:
+                    stdin.close()
+                except OSError:
+                    pass  # a failed write left bytes for a child now gone
 
         return _Channel(stdout.fileno(),
                         lambda n: os.read(stdout.fileno(), n), send, close)

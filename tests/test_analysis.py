@@ -100,10 +100,11 @@ def test_target_confidence_without_a_bound_doubles_until_reached():
     assert r.samples in {base * 2 ** k for k in range(8)}
 
 
-def test_target_confidence_doubling_eventually_gives_up():
+def test_target_confidence_doubling_eventually_gives_up(monkeypatch):
+    monkeypatch.setattr("pacreach.analysis.MAX_CONFIDENCE_ROUNDS", 1)
     with pytest.raises(ResourceCapError, match="doubling rounds"):
         analyze(build_alks(False), horizon=3, target_confidence=0.99,
-                seed=7, max_confidence_rounds=1)
+                seed=7)
 
 
 def test_count_cap_degrades_to_the_formula_upper_bound(monkeypatch):
@@ -135,7 +136,8 @@ def test_fallback_clips_the_count_at_the_sequence_total():
     learned = MonomialSet(3, tuple(members[:22]))
     assert learned.count_formula(3) > 27
     exact, used, upper, clipped = _count_exact_or_fallback(
-        learned, ("x", "y", "z"), count_cap=1)
+        learned, ("x", "y", "z"), learned.count_formula(3), 3 ** 3,
+        count_cap=1)
     assert exact is None
     assert used == 27
     assert upper and clipped
@@ -149,7 +151,8 @@ def test_adversarial_set_hits_the_default_cap_and_is_flagged():
         Monomial.from_map(n, {i: s, i + 20: s})
         for i in range(1, 21) for s in "ab"))
     exact, used, upper, clipped = _count_exact_or_fallback(
-        learned, ("a", "b"), count_cap=DEFAULT_COUNT_CAP)
+        learned, ("a", "b"), learned.count_formula(2), 2 ** n,
+        count_cap=DEFAULT_COUNT_CAP)
     assert exact is None
     assert used == 2 ** n
     assert upper and clipped

@@ -33,10 +33,9 @@ def test_draw_safe_example_returns_fully_bound_safe_sequence():
     sul = MachineSafetyQuery(build_alks(False))
     rng = random.Random(5)
     example = draw_safe_example(sul, 4, rng, max_attempts=1000)
-    assert example.length == 4
-    assert example.free_positions == ()
-    seq = tuple(sym for _, sym in example.bindings)
-    assert sul.is_safe(seq)
+    assert example.horizon == 4
+    assert None not in example.symbols
+    assert sul.is_safe(example.symbols)
 
 
 def test_draw_safe_example_gives_up_when_nothing_is_safe():
@@ -106,7 +105,7 @@ def test_learn_on_all_safe_machine_collapses_to_one_empty_monomial():
         sul, LearnerConfig(horizon=4, sample_budget=6, rng_seed=3))
     assert len(learned) == 1
     only = next(iter(learned))
-    assert only.bindings == ()
+    assert only.symbols == (None,) * 4
     assert learned.count_formula(3) == 3 ** 4
     assert stats.examples_drawn == 6
     assert stats.examples_skipped_implied == 5
@@ -149,7 +148,9 @@ def test_learned_monomials_are_maximally_general():
     learned, _ = learn_safe_set(
         sul, LearnerConfig(horizon=3, sample_budget=200, rng_seed=2))
     for mono in learned:
-        for pos, _ in mono.bindings:
+        for pos, sym in enumerate(mono.symbols, 1):
+            if sym is None:
+                continue
             relaxed = mono.without(pos)
             assert any(not machine.is_safe(s)
                        for s in relaxed.expand(sul.input_alphabet))
@@ -211,7 +212,7 @@ def test_expansion_cap_degrades_to_fully_bound_monomials(caplog,
     with caplog.at_level(logging.WARNING, logger="pacreach.learner"):
         learned, stats = learn_safe_set(
             sul, LearnerConfig(horizon=3, sample_budget=30, rng_seed=1))
-    assert all(m.free_positions == () for m in learned)
+    assert all(None not in m.symbols for m in learned)
     assert stats.oracle_sequence_queries == 0
     assert "exceeds cap" in caplog.text
     # still sound: stored examples were drawn safe

@@ -48,6 +48,8 @@ def test_expansion_cardinality(n, data):
     assert len(seqs) == 3 ** (n - len(bindings))
     assert len(set(seqs)) == len(seqs)
     assert m.expansion_size(3) == len(seqs)
+    assert list(m.expand(alphabet)) == [
+        s for s in itertools.product(alphabet, repeat=n) if m.covers(s)]
 
 
 def test_covers_agreement_and_disagreement():
@@ -76,16 +78,9 @@ def test_bindings_validation():
     with pytest.raises(ValidationError):
         mono(2, {3: "a"})
     with pytest.raises(ValidationError):
-        Monomial(2, ((1, "a"), (1, "b")))
+        mono(2, {1: "a"}).without(3)
     with pytest.raises(ValidationError):
         mono(0, {})
-
-
-def test_bindings_stored_sorted_regardless_of_input_order():
-    a = Monomial(3, ((3, "x"), (1, "y")))
-    b = Monomial(3, ((1, "y"), (3, "x")))
-    assert a == b
-    assert a.bindings == ((1, "y"), (3, "x"))
 
 
 # -- implication ---------------------------------------------------------------
@@ -255,3 +250,7 @@ def test_text_parse_errors():
         MonomialSet.from_text("n=2\n{9=a}\n")  # out of range
     with pytest.raises(ParseError):
         MonomialSet.from_text("n=2\n{x=a}\n")  # bad position
+    with pytest.raises(ParseError, match="line 2"):
+        MonomialSet.from_text("n=3\n{1=a, 1=b}\n")  # bound twice
+    with pytest.raises(ParseError, match="line 1"):
+        MonomialSet.from_text("n=0\n")  # empty horizon

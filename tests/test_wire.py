@@ -1,4 +1,5 @@
 import logging
+import os
 import random
 import socket
 import struct
@@ -165,6 +166,36 @@ def test_mid_run_hangup_is_transport_error_not_a_verdict():
     with pytest.raises(TransportError):
         remote.is_safe(["a", "b"])
     remote.close()
+
+
+def test_writing_to_a_child_that_closed_its_stdin_is_transport_error():
+    # the failed write leaves bytes buffered; closing the pipe must not
+    # raise BrokenPipeError past the transport layer
+    script = "import os\nos.close(0)\nprint('OK a b')"
+    cfg = BlackBoxConfig(command=f"{sys.executable} -c \"{script}\"",
+                         unsafe_outputs=frozenset({"bad"}),
+                         timeout=2.0, max_retries=0)
+    with RemoteSafetyQuery(cfg) as remote:
+        with pytest.raises(TransportError, match="write failed"):
+            remote.is_safe(["a"])
+
+
+def test_a_child_that_ignores_sigterm_is_killed_and_reaped():
+    # the child's alphabet is its pid; close() must escalate to SIGKILL
+    # and wait, or the pid lives on as a zombie
+    script = (
+        "import os, signal, sys\n"
+        "signal.signal(signal.SIGTERM, signal.SIG_IGN)\n"
+        "print('OK', os.getpid()); sys.stdout.flush()\n"
+        "sys.stdin.read()\n"
+    )
+    cfg = BlackBoxConfig(command=f"{sys.executable} -c \"{script}\"",
+                         unsafe_outputs=frozenset({"bad"}),
+                         timeout=5.0, max_retries=0)
+    with RemoteSafetyQuery(cfg) as remote:
+        (pid,) = remote.input_alphabet
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid), 0)
 
 
 def test_retry_reconnects_after_a_dropped_connection():
