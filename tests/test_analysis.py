@@ -2,6 +2,7 @@ import csv
 import io
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +249,10 @@ def test_table_reproduction_artifacts(table):
     assert "coffee" in table.diff_text
     assert "within tolerance" in table.diff_text
     assert "OFF" not in table.diff_text
+
+
+def test_table_csv_matches_the_golden_file(table):
+    # reproduce_table(seed=7).csv_text, frozen; any byte of drift in a
+    # count, a float repr or a query counter shows up here
+    golden = Path(__file__).parent / "golden" / "reproduce_table_seed7.csv"
+    assert table.csv_text == golden.read_text(encoding="utf-8")
