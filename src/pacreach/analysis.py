@@ -29,7 +29,7 @@ from .learner import (LearnerConfig, LearnerStats, ORACLE_ALL_SAFE,
                       learn_safe_set)
 from .mealy import MealyMachine
 from .models import BUNDLED
-from .monomials import DEFAULT_COUNT_CAP, MonomialSet
+from .monomials import MonomialSet
 from .seeding import derive_seed
 from .sul import MachineSafetyQuery, SafetyQuery
 
@@ -127,23 +127,11 @@ CSV_COLUMNS = [
 
 
 def _csv_row(report: AnalysisReport) -> list:
-    s = report.stats
-    return [
-        report.format_version, report.model_name, report.horizon,
-        report.alphabet_size, report.total_sequences, report.samples,
-        report.covered_formula,
-        "" if report.covered_exact is None else report.covered_exact,
-        report.covered_used, report.covered_is_upper_bound,
-        report.probability_clipped, repr(report.learned_probability),
-        repr(report.baseline_estimate), repr(report.baseline_std_error),
-        "" if report.exact_safe_paths is None else report.exact_safe_paths,
-        "" if report.exact_probability is None
-        else repr(report.exact_probability),
-        repr(report.confidence), repr(report.inverse_error), report.seed,
-        report.oracle_semantics, s.examples_drawn,
-        s.examples_skipped_implied, s.sample_attempts, s.oracle_calls,
-        s.oracle_sequence_queries,
-    ]
+    """The report's value for each of CSV_COLUMNS; csv.writer renders
+    floats with repr and None as an empty cell."""
+    fields = {**vars(report.stats), **vars(report),
+              "model": report.model_name}
+    return [fields[column] for column in CSV_COLUMNS]
 
 
 def reports_to_csv(reports: Sequence[AnalysisReport]) -> str:
@@ -163,11 +151,11 @@ def reports_to_json_lines(reports: Sequence[AnalysisReport]) -> str:
 
 
 def _count_exact_or_fallback(learned: MonomialSet, alphabet: tuple[str, ...],
-                             formula: int, total: int, count_cap: int
+                             formula: int, total: int
                              ) -> tuple[int | None, int, bool, bool]:
     """Returns (exact, used, is_upper_bound, clipped)."""
     try:
-        exact = learned.count_exact(alphabet, cap=count_cap)
+        exact = learned.count_exact(alphabet)
         return exact, exact, False, False
     except ResourceCapError:
         used = min(formula, total)
@@ -185,7 +173,7 @@ def _run_one(sul: SafetyQuery, machine: MealyMachine | None, model_name: str,
     total = len(alphabet) ** horizon
     formula = learned.count_formula(len(alphabet))
     exact, used, upper, clipped = _count_exact_or_fallback(
-        learned, alphabet, formula, total, DEFAULT_COUNT_CAP)
+        learned, alphabet, formula, total)
     bound = solve_confidence(sample_budget, used)
     baseline = monte_carlo(sul, horizon, sample_budget, mc_seed)
     exact_paths = exact_prob = None

@@ -22,6 +22,9 @@ from .sul import SafetyQuery
 __all__ = ["ExactCount", "MonteCarloEstimate", "exact_count_dp",
            "exact_count_enumerate", "monte_carlo"]
 
+# exact_count_enumerate refuses to trace more sequences than this.
+ENUMERATION_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class ExactCount:
@@ -84,19 +87,19 @@ def exact_count_dp(machine: MealyMachine, n: int,
     return ExactCount(n, safe, len(machine.inputs) ** n)
 
 
-def exact_count_enumerate(machine: MealyMachine, n: int,
-                          cap: int = 1_000_000) -> ExactCount:
+def exact_count_enumerate(machine: MealyMachine, n: int) -> ExactCount:
     """Trace every length-n sequence and count the safe ones.
 
     Exponential; exists to cross-check the dynamic program on small
-    instances, so it refuses budgets above ``cap``.
+    instances, so it refuses budgets above ``ENUMERATION_CAP``.
     """
     if n < 1:
         raise ValidationError(f"horizon must be >= 1, got {n}")
     total = len(machine.inputs) ** n
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise ResourceCapError(
-            f"{len(machine.inputs)}^{n} = {total} sequences exceeds cap {cap}")
+            f"{len(machine.inputs)}^{n} = {total} sequences exceeds cap "
+            f"{ENUMERATION_CAP}")
     safe = sum(1 for seq in itertools.product(machine.inputs, repeat=n)
                if machine.trace(seq).safe)
     return ExactCount(n, safe, total)

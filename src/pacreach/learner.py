@@ -15,6 +15,10 @@ It is provided for comparison because published pseudocode for this
 kind of oracle sometimes reads that way, but it is unsound: it happily
 generalizes over unsafe behaviour. Nothing in this package uses it
 except by explicit request.
+
+Two module constants bound the work and are read at call time:
+``DEFAULT_SAMPLE_ATTEMPT_CAP`` draws per safe example, and
+``DEFAULT_ORACLE_EXPANSION_CAP`` sequences per oracle call.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class LearnerConfig:
 
 @dataclass
 class LearnerStats:
-    """Work accounting for one learning run.
+    """Work accounting for one learning run, kept by ``learn_safe_set``.
 
     ``sample_attempts`` counts every rejection-sampling draw, safe or
     not; together with ``oracle_sequence_queries`` it accounts for every
@@ -77,59 +81,50 @@ class LearnerStats:
     wall_time: float = 0.0
 
 
-def draw_safe_example(sul: SafetyQuery, horizon: int, rng: random.Random,
-                      max_attempts: int) -> Monomial:
+def draw_safe_example(sul: SafetyQuery, horizon: int,
+                      rng: random.Random) -> Monomial:
     """Rejection-sample a safe sequence; return it fully bound.
 
-    Raises SamplingCapError when max_attempts uniform draws all come
-    back unsafe, the signature of a (near-)zero safety probability.
+    Raises SamplingCapError when ``DEFAULT_SAMPLE_ATTEMPT_CAP`` uniform
+    draws all come back unsafe, the signature of a (near-)zero safety
+    probability.
     """
-    if max_attempts < 1:
-        raise ValidationError("max_attempts must be >= 1")
-    for _ in range(max_attempts):
+    for _ in range(DEFAULT_SAMPLE_ATTEMPT_CAP):
         seq = sul.random_input(horizon, rng)
         if sul.is_safe(seq):
             return Monomial.from_sequence(seq)
-    raise SamplingCapError(max_attempts)
+    raise SamplingCapError(DEFAULT_SAMPLE_ATTEMPT_CAP)
 
 
 def query_oracle(sul: SafetyQuery, candidate: Monomial,
-                 semantics: str = ORACLE_ALL_SAFE,
-                 expansion_cap: int = DEFAULT_ORACLE_EXPANSION_CAP,
-                 stats: LearnerStats | None = None) -> bool:
+                 semantics: str = ORACLE_ALL_SAFE) -> bool:
     """Decide whether a candidate generalization is acceptable.
 
     All-safe: true iff every covered sequence is safe (stops at the
     first unsafe one). Paper-literal: true iff any covered sequence is
     safe (stops at the first safe one; unsound, see module docstring).
 
-    A candidate whose expansion exceeds ``expansion_cap`` is rejected
-    with a logged warning rather than queried: "too big to check" must
-    degrade to "keep the binding", never to a fabricated verdict.
+    A candidate whose expansion exceeds ``DEFAULT_ORACLE_EXPANSION_CAP``
+    is rejected with a logged warning rather than queried: "too big to
+    check" must degrade to "keep the binding", never to a fabricated
+    verdict.
     """
-    if stats is not None:
-        stats.oracle_calls += 1
+    if semantics not in (ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL):
+        raise ValidationError(f"unknown oracle semantics {semantics!r}")
     size = candidate.expansion_size(len(sul.input_alphabet))
-    if size > expansion_cap:
+    if size > DEFAULT_ORACLE_EXPANSION_CAP:
         log.warning(
             "not generalizing %s: expansion of %d sequences exceeds cap %d",
-            candidate, size, expansion_cap)
+            candidate, size, DEFAULT_ORACLE_EXPANSION_CAP)
         return False
     want_all = semantics == ORACLE_ALL_SAFE
-    if not want_all and semantics != ORACLE_PAPER_LITERAL:
-        raise ValidationError(f"unknown oracle semantics {semantics!r}")
-    before = sul.query_count
-    try:
-        for seq in candidate.expand(sul.input_alphabet):
-            safe = sul.is_safe(seq)
-            if want_all and not safe:
-                return False
-            if not want_all and safe:
-                return True
-        return want_all
-    finally:
-        if stats is not None:
-            stats.oracle_sequence_queries += sul.query_count - before
+    for seq in candidate.expand(sul.input_alphabet):
+        safe = sul.is_safe(seq)
+        if want_all and not safe:
+            return False
+        if not want_all and safe:
+            return True
+    return want_all
 
 
 def learn_safe_set(sul: SafetyQuery,
@@ -146,21 +141,21 @@ def learn_safe_set(sul: SafetyQuery,
     started = time.perf_counter()
     for _ in range(cfg.sample_budget):
         before = sul.query_count
-        example = draw_safe_example(sul, cfg.horizon, rng,
-                                    DEFAULT_SAMPLE_ATTEMPT_CAP)
+        example = draw_safe_example(sul, cfg.horizon, rng)
         stats.sample_attempts += sul.query_count - before
         stats.examples_drawn += 1
         if learned.implies(example):
             stats.examples_skipped_implied += 1
             continue
-        calls_before = stats.oracle_calls
+        before = sul.query_count
         for pos in range(1, cfg.horizon + 1):
             candidate = example.without(pos)
-            if query_oracle(sul, candidate, cfg.oracle_semantics,
-                            DEFAULT_ORACLE_EXPANSION_CAP, stats):
+            if query_oracle(sul, candidate, cfg.oracle_semantics):
                 example = candidate
-        learned = learned.add(example)
-        log.info("appended %s (oracle calls %d)", example,
-                 stats.oracle_calls - calls_before)
+        stats.oracle_calls += cfg.horizon
+        stats.oracle_sequence_queries += sul.query_count - before
+        # a duplicate would have implied the draw, which was skipped above
+        learned.add(example)
+        log.info("appended %s", example)
     stats.wall_time = time.perf_counter() - started
     return learned, stats

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import ParseError, ResourceCapError, ValidationError
@@ -92,22 +92,34 @@ class Monomial:
 _BINDING_RE = re.compile(r"^(\d+)\s*=\s*(\S+)$")
 
 
-@dataclass(frozen=True)
+@dataclass
 class MonomialSet:
-    """A disjunction of monomials over one shared horizon."""
+    """A disjunction of monomials over one shared horizon.
+
+    Members keep their insertion order. ``add`` appends in place, and
+    the constructor adds each member of the iterable it is given the
+    same way, so every member is checked once: its horizon, and that it
+    is not already present.
+    """
 
     horizon: int
-    monomials: tuple[Monomial, ...]
+    monomials: list[Monomial]
+    _members: set[Monomial] = field(default_factory=set, init=False,
+                                    repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for m in self.monomials:
-            if m.horizon != self.horizon:
-                raise ValidationError(
-                    f"member horizon {m.horizon} != set horizon {self.horizon}")
-            if m in seen:
-                raise ValidationError(f"duplicate monomial {m}")
-            seen.add(m)
+        given, self.monomials = self.monomials, []
+        for m in given:
+            self.add(m)
+
+    def add(self, m: Monomial) -> None:
+        if m.horizon != self.horizon:
+            raise ValidationError(
+                f"member horizon {m.horizon} != set horizon {self.horizon}")
+        if m in self._members:
+            raise ValidationError(f"duplicate monomial {m}")
+        self._members.add(m)
+        self.monomials.append(m)
 
     def __len__(self) -> int:
         return len(self.monomials)
@@ -138,9 +150,6 @@ class MonomialSet:
                 return True
         return False
 
-    def add(self, m: Monomial) -> "MonomialSet":
-        return MonomialSet(self.horizon, self.monomials + (m,))
-
     # -- counting ----------------------------------------------------------
 
     def count_formula(self, alphabet_size: int) -> int:
@@ -149,8 +158,7 @@ class MonomialSet:
             raise ValidationError("alphabet size must be >= 1")
         return sum(m.expansion_size(alphabet_size) for m in self.monomials)
 
-    def count_exact(self, alphabet: Sequence[str],
-                    cap: int = DEFAULT_COUNT_CAP) -> int:
+    def count_exact(self, alphabet: Sequence[str]) -> int:
         """Number of distinct sequences covered by the union.
 
         Counting a union of cubes is #DNF, which is #P-hard in general;
@@ -164,9 +172,9 @@ class MonomialSet:
         live member binds at ``pos`` gets its own branch, and all other
         symbols share one branch weighted by how many of them there are.
 
-        Raises ResourceCapError once more than ``cap`` (position, live
-        set) pairs have been visited; adversarial sets can need
-        exponentially many.
+        Raises ResourceCapError once more than ``DEFAULT_COUNT_CAP``
+        (position, live set) pairs have been visited; adversarial sets
+        can need exponentially many.
         """
         unknown = sorted({sym for m in self.monomials for sym in m.symbols}
                          - {None} - set(alphabet))
@@ -208,10 +216,10 @@ class MonomialSet:
                         successors[nxt] = successors.get(nxt, 0) + ways
                 if stay and others:
                     successors[stay] = successors.get(stay, 0) + ways * others
-                if visited + len(successors) > cap:
+                if visited + len(successors) > DEFAULT_COUNT_CAP:
                     raise ResourceCapError(
-                        f"exact union count visited more than {cap} "
-                        f"(position, live set) states")
+                        f"exact union count visited more than "
+                        f"{DEFAULT_COUNT_CAP} (position, live set) states")
             visited += len(successors)
             frontier = successors
         return total
@@ -263,4 +271,4 @@ class MonomialSet:
                 raise ParseError(str(exc), line=lineno) from exc
         if horizon is None:
             raise ParseError("missing 'n=<horizon>' header")
-        return cls(horizon, tuple(members))
+        return cls(horizon, members)

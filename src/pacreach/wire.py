@@ -169,8 +169,7 @@ class RemoteSafetyQuery(SafetyQuery):
         super().__init__()
         self.config = config
         self._channel: _Channel | None = None
-        self._alphabet: tuple[str, ...] | None = None
-        self._ensure_alphabet()
+        self._alphabet = self._with_retries(self._request_alphabet)
 
     # -- plumbing ------------------------------------------------------------
 
@@ -218,21 +217,14 @@ class RemoteSafetyQuery(SafetyQuery):
 
     # -- protocol ------------------------------------------------------------
 
-    def _ensure_alphabet(self):
-        if self._alphabet is not None:
-            return
-
-        def attempt():
-            tokens = self._exchange("ALPHABET")
-            if tokens[0] != "OK" or len(tokens) < 2:
-                raise TransportError(f"bad ALPHABET reply: {' '.join(tokens)}")
-            return tuple(tokens[1:])
-
-        self._alphabet = self._with_retries(attempt)
+    def _request_alphabet(self) -> tuple[str, ...]:
+        tokens = self._exchange("ALPHABET")
+        if tokens[0] != "OK" or len(tokens) < 2:
+            raise TransportError(f"bad ALPHABET reply: {' '.join(tokens)}")
+        return tuple(tokens[1:])
 
     @property
     def input_alphabet(self) -> tuple[str, ...]:
-        assert self._alphabet is not None
         return self._alphabet
 
     def _answer(self, seq: tuple[str, ...]) -> bool:

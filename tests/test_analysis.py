@@ -14,7 +14,7 @@ from pacreach.bounds import required_samples, safety_probability, \
     solve_confidence
 from pacreach.errors import ResourceCapError, ValidationError
 from pacreach.models import build_alks
-from pacreach.monomials import DEFAULT_COUNT_CAP, Monomial, MonomialSet
+from pacreach.monomials import Monomial, MonomialSet
 from pacreach.seeding import derive_seed
 from pacreach.sul import MachineSafetyQuery
 
@@ -116,7 +116,7 @@ def test_count_cap_degrades_to_the_formula_upper_bound(monkeypatch):
     full = analyze(machine, horizon=5, sample_budget=1000, seed=seed)
     assert (full.covered_exact, full.covered_formula) == (99, 111)
 
-    monkeypatch.setattr("pacreach.analysis.DEFAULT_COUNT_CAP", 10)
+    monkeypatch.setattr("pacreach.monomials.DEFAULT_COUNT_CAP", 10)
     capped = analyze(machine, horizon=5, sample_budget=1000, seed=seed)
     assert capped.covered_exact is None
     assert capped.covered_used == capped.covered_formula == 111
@@ -126,7 +126,7 @@ def test_count_cap_degrades_to_the_formula_upper_bound(monkeypatch):
     assert capped.confidence == solve_confidence(1000, 111).confidence
 
 
-def test_fallback_clips_the_count_at_the_sequence_total():
+def test_fallback_clips_the_count_at_the_sequence_total(monkeypatch):
     # overlapping members whose formula count exceeds the total number
     # of sequences: the usable count clips to the total
     members = []
@@ -136,9 +136,9 @@ def test_fallback_clips_the_count_at_the_sequence_total():
                 members.append(Monomial.from_map(3, {p: a, q: b}))
     learned = MonomialSet(3, tuple(members[:22]))
     assert learned.count_formula(3) > 27
+    monkeypatch.setattr("pacreach.monomials.DEFAULT_COUNT_CAP", 1)
     exact, used, upper, clipped = _count_exact_or_fallback(
-        learned, ("x", "y", "z"), learned.count_formula(3), 3 ** 3,
-        count_cap=1)
+        learned, ("x", "y", "z"), learned.count_formula(3), 3 ** 3)
     assert exact is None
     assert used == 27
     assert upper and clipped
@@ -152,8 +152,7 @@ def test_adversarial_set_hits_the_default_cap_and_is_flagged():
         Monomial.from_map(n, {i: s, i + 20: s})
         for i in range(1, 21) for s in "ab"))
     exact, used, upper, clipped = _count_exact_or_fallback(
-        learned, ("a", "b"), learned.count_formula(2), 2 ** n,
-        count_cap=DEFAULT_COUNT_CAP)
+        learned, ("a", "b"), learned.count_formula(2), 2 ** n)
     assert exact is None
     assert used == 2 ** n
     assert upper and clipped

@@ -90,7 +90,7 @@ def test_dp_validation():
 
 def test_enumeration_cap():
     with pytest.raises(ResourceCapError):
-        exact_count_enumerate(build_alks(False), 20, cap=1000)
+        exact_count_enumerate(build_alks(False), 20)
 
 
 def test_monte_carlo_fields_and_determinism():

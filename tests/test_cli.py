@@ -6,6 +6,7 @@ import shlex
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,21 @@ def test_analyze_human_output(capsys):
     assert report["learned_probability"] == "0.62963"
     assert report["exact_safe_paths"] == "17"
     assert report["stats.examples_drawn"] == "1000"
+
+
+def test_readme_quick_start_matches_the_cli(capsys):
+    # the README's first "$ pacreach ..." block: its command, run here,
+    # must print every "key: value" line the block shows
+    readme = Path(__file__).parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("$ pacreach ", 1)[1]
+    command, _, rest = block.partition("\n")
+    shown = [line for line in rest.split("```", 1)[0].splitlines()
+             if ": " in line]
+    assert shown
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    assert code == 0
+    printed = out.splitlines()
+    assert [line for line in shown if line not in printed] == []
 
 
 def test_analyze_csv_to_file(tmp_path, capsys):

@@ -8,7 +8,7 @@ from pacreach import learner
 from pacreach.errors import (SamplingCapError, TransportError,
                              ValidationError)
 from pacreach.learner import (ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL,
-                              LearnerConfig, LearnerStats, draw_safe_example,
+                              LearnerConfig, draw_safe_example,
                               learn_safe_set, query_oracle)
 from pacreach.models import BUNDLED, build_alks
 from pacreach.monomials import Monomial
@@ -32,16 +32,17 @@ def test_config_validation():
 def test_draw_safe_example_returns_fully_bound_safe_sequence():
     sul = MachineSafetyQuery(build_alks(False))
     rng = random.Random(5)
-    example = draw_safe_example(sul, 4, rng, max_attempts=1000)
+    example = draw_safe_example(sul, 4, rng)
     assert example.horizon == 4
     assert None not in example.symbols
     assert sul.is_safe(example.symbols)
 
 
-def test_draw_safe_example_gives_up_when_nothing_is_safe():
+def test_draw_safe_example_gives_up_when_nothing_is_safe(monkeypatch):
+    monkeypatch.setattr(learner, "DEFAULT_SAMPLE_ATTEMPT_CAP", 25)
     sul = MachineSafetyQuery(BUNDLED["none_safe"]())
     with pytest.raises(SamplingCapError) as info:
-        draw_safe_example(sul, 3, random.Random(0), max_attempts=25)
+        draw_safe_example(sul, 3, random.Random(0))
     assert info.value.attempts == 25
     assert sul.query_count == 25
 
@@ -80,23 +81,27 @@ def test_query_oracle_matches_brute_force_on_every_small_candidate():
                 assert query_oracle(sul, candidate) is expected
 
 
-def test_query_oracle_counts_sequence_queries():
-    sul = MachineSafetyQuery(build_alks(False))
-    stats = LearnerStats()
-    query_oracle(sul, Monomial.from_map(3, {3: "s"}), stats=stats)
-    assert stats.oracle_calls == 1
-    assert stats.oracle_sequence_queries == sul.query_count
-    assert stats.oracle_sequence_queries <= 9
-
-
-def test_query_oracle_expansion_cap_refuses_not_fabricates(caplog):
+def test_query_oracle_expansion_cap_refuses_not_fabricates(caplog,
+                                                           monkeypatch):
+    monkeypatch.setattr(learner, "DEFAULT_ORACLE_EXPANSION_CAP", 10)
     sul = MachineSafetyQuery(BUNDLED["all_safe"]())
     candidate = Monomial.from_map(5, {1: "i0"})
     with caplog.at_level(logging.WARNING, logger="pacreach.learner"):
-        verdict = query_oracle(sul, candidate, expansion_cap=10)
+        verdict = query_oracle(sul, candidate)
     assert verdict is False
     assert sul.query_count == 0
     assert "exceeds cap" in caplog.text
+
+
+def test_query_oracle_rejects_unknown_semantics_over_the_cap(caplog):
+    # 3 ** 13 covered sequences: over the default expansion cap, so the
+    # semantics must be checked before the cap turns the call into False
+    sul = MachineSafetyQuery(BUNDLED["all_safe"]())
+    candidate = Monomial.from_map(14, {1: "i0"})
+    assert candidate.expansion_size(3) > learner.DEFAULT_ORACLE_EXPANSION_CAP
+    with pytest.raises(ValidationError, match="bogus"):
+        query_oracle(sul, candidate, semantics="bogus")
+    assert "exceeds cap" not in caplog.text
 
 
 def test_learn_on_all_safe_machine_collapses_to_one_empty_monomial():
@@ -177,13 +182,22 @@ def test_seeds_change_the_sampling_path():
     assert len({attempts(s) for s in range(6)}) > 1
 
 
-def test_adapter_accounting_identity():
+def test_adapter_accounting_identity(monkeypatch):
+    calls = []
+
+    def counted_oracle(*args):
+        calls.append(args)
+        return query_oracle(*args)
+
+    monkeypatch.setattr(learner, "query_oracle", counted_oracle)
     sul = MachineSafetyQuery(build_alks(True))
     _, stats = learn_safe_set(
         sul, LearnerConfig(horizon=4, sample_budget=300, rng_seed=4))
     assert sul.query_count == stats.sample_attempts + \
         stats.oracle_sequence_queries
     assert stats.sample_attempts >= stats.examples_drawn == 300
+    assert stats.oracle_calls == len(calls) == 4 * (
+        stats.examples_drawn - stats.examples_skipped_implied)
 
 
 def test_any_safe_oracle_overgeneralizes():

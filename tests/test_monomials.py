@@ -208,7 +208,7 @@ def test_count_exact_matches_brute_force_on_generated_sets(n, k, size, data):
     assert g.count_exact(alphabet) == covered
 
 
-def test_count_exact_cap_on_giant_union():
+def test_count_exact_cap_on_giant_union(monkeypatch):
     # three overlapping families whose walk needs more states than the cap
     members = tuple(mono(6, {1: "a", 2: a, 3: b, 4: c})
                     for a in "ab" for b in "ab" for c in "ab") + tuple(
@@ -218,8 +218,9 @@ def test_count_exact_cap_on_giant_union():
         for a in "ab" for b in "ab" for c in "ab")
     g = MonomialSet(6, members)
     assert len(g) == 24
+    monkeypatch.setattr("pacreach.monomials.DEFAULT_COUNT_CAP", 10)
     with pytest.raises(ResourceCapError):
-        g.count_exact(("a", "b"), cap=10)
+        g.count_exact(("a", "b"))
 
 
 def test_set_validation():
@@ -227,6 +228,12 @@ def test_set_validation():
         MonomialSet(2, (mono(2, {1: "a"}), mono(2, {1: "a"})))
     with pytest.raises(ValidationError, match="horizon"):
         MonomialSet(2, (mono(3, {1: "a"}),))
+    g = MonomialSet(2, (mono(2, {1: "a"}),))
+    with pytest.raises(ValidationError, match="duplicate"):
+        g.add(mono(2, {1: "a"}))
+    with pytest.raises(ValidationError, match="horizon"):
+        g.add(mono(3, {1: "b"}))
+    assert g.monomials == [mono(2, {1: "a"})]
 
 
 # -- text form -----------------------------------------------------------------
