@@ -27,9 +27,11 @@ def main():
     truth = exact_count_dp(machine, cfg.horizon).safe_paths
     print(f"\ncovered sequences: {covered}")
     print(f"exact safe count:  {truth}")
+    # A machine's oracle queries are counted, not run: one backward pass
+    # over its states answers a whole monomial.
     print(f"adapter answered {sul.query_count} queries "
-          f"({stats.sample_attempts} sampling, "
-          f"{stats.oracle_sequence_queries} oracle)")
+          f"({stats.sample_attempts} sampling, run; "
+          f"{stats.oracle_sequence_queries} oracle, counted)")
 
     # The formula count sums the monomial sizes and can over-count
     # overlapping expansions; count_exact deduplicates.

@@ -16,6 +16,12 @@ kind of oracle sometimes reads that way, but it is unsound: it happily
 generalizes over unsafe behaviour. Nothing in this package uses it
 except by explicit request.
 
+The oracle asks the adapter about the whole candidate at once
+(``SafetyQuery.answer_monomial``). A black box runs the covered
+sequences one by one; a machine computes the same verdict, and the
+number of queries that loop would have made, from one backward pass
+over its states. Either way ``query_count`` moves by that number.
+
 Two module constants bound the work and are read at call time:
 ``DEFAULT_SAMPLE_ATTEMPT_CAP`` draws per safe example, and
 ``DEFAULT_ORACLE_EXPANSION_CAP`` sequences per oracle call.
@@ -71,6 +77,9 @@ class LearnerStats:
     not; together with ``oracle_sequence_queries`` it accounts for every
     query the adapter answered:
     query_count delta == sample_attempts + oracle_sequence_queries.
+    For a machine the oracle's queries are counted, not executed: they
+    are the queries the expansion loop would have made (see
+    ``MachineSafetyQuery``).
     """
 
     examples_drawn: int = 0
@@ -107,7 +116,9 @@ def query_oracle(sul: SafetyQuery, candidate: Monomial,
     A candidate whose expansion exceeds ``DEFAULT_ORACLE_EXPANSION_CAP``
     is rejected with a logged warning rather than queried: "too big to
     check" must degrade to "keep the binding", never to a fabricated
-    verdict.
+    verdict. A bound symbol outside the alphabet is a ValidationError.
+    Past these checks the adapter answers the whole candidate
+    (``SafetyQuery.answer_monomial``).
     """
     if semantics not in (ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL):
         raise ValidationError(f"unknown oracle semantics {semantics!r}")
@@ -117,14 +128,8 @@ def query_oracle(sul: SafetyQuery, candidate: Monomial,
             "not generalizing %s: expansion of %d sequences exceeds cap %d",
             candidate, size, DEFAULT_ORACLE_EXPANSION_CAP)
         return False
-    want_all = semantics == ORACLE_ALL_SAFE
-    for seq in candidate.expand(sul.input_alphabet):
-        safe = sul.is_safe(seq)
-        if want_all and not safe:
-            return False
-        if not want_all and safe:
-            return True
-    return want_all
+    candidate.check_alphabet(sul.input_alphabet)
+    return sul.answer_monomial(candidate, semantics == ORACLE_ALL_SAFE)
 
 
 def learn_safe_set(sul: SafetyQuery,

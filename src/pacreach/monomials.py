@@ -69,6 +69,13 @@ class Monomial:
     def expansion_size(self, alphabet_size: int) -> int:
         return alphabet_size ** self.symbols.count(None)
 
+    def check_alphabet(self, alphabet: Sequence[str]) -> None:
+        """Raise ValidationError if a bound symbol is not in ``alphabet``."""
+        unknown = sorted(set(self.symbols) - {None} - set(alphabet))
+        if unknown:
+            raise ValidationError(
+                f"bound symbols not in alphabet: {unknown}")
+
     def expand(self, alphabet: Sequence[str]) -> Iterator[tuple[str, ...]]:
         """Iterate over every concrete sequence this monomial covers.
 
@@ -76,10 +83,7 @@ class Monomial:
         order, least significant position last, so the emission order is
         lexicographic over the free positions and deterministic.
         """
-        unknown = sorted(set(self.symbols) - {None} - set(alphabet))
-        if unknown:
-            raise ValidationError(
-                f"bound symbols not in alphabet: {unknown}")
+        self.check_alphabet(alphabet)
         return itertools.product(
             *(alphabet if s is None else (s,) for s in self.symbols))
 

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .errors import ValidationError
 from .mealy import MealyMachine
+from .monomials import Monomial
 
 __all__ = ["SafetyQuery", "MachineSafetyQuery"]
 
@@ -23,9 +24,13 @@ __all__ = ["SafetyQuery", "MachineSafetyQuery"]
 class SafetyQuery(ABC):
     """Deterministic safety membership queries over a fixed input alphabet.
 
-    ``query_count`` increments once per answered query; failed queries
-    (transport errors and the like) do not count. Implementations must
-    be deterministic: the same sequence always gets the same verdict.
+    ``query_count`` counts answered queries; failed queries (transport
+    errors and the like) do not count. ``is_safe`` answers one and adds
+    1. ``answer_monomial`` adds the number of queries its expansion loop
+    makes, whether it runs them (the default) or computes both the
+    verdict and that number without running them (``MachineSafetyQuery``).
+    Implementations must be deterministic: the same sequence always gets
+    the same verdict.
     """
 
     def __init__(self):
@@ -50,6 +55,18 @@ class SafetyQuery(ABC):
         self.query_count += 1
         return verdict
 
+    def answer_monomial(self, candidate: Monomial, want_all: bool) -> bool:
+        """Whether every (``want_all``) or some covered sequence is safe.
+
+        Queries the covered sequences in ``candidate.expand`` order and
+        stops at the first one that decides the answer: an unsafe one
+        when ``want_all``, else a safe one.
+        """
+        for seq in candidate.expand(self.input_alphabet):
+            if self.is_safe(seq) != want_all:
+                return not want_all
+        return want_all
+
     def random_input(self, n: int, rng: random.Random) -> tuple[str, ...]:
         """n symbols drawn independently, uniformly from the alphabet."""
         if n < 1:
@@ -59,11 +76,36 @@ class SafetyQuery(ABC):
 
 
 class MachineSafetyQuery(SafetyQuery):
-    """In-process adapter: run the machine, check the final state."""
+    """In-process adapter: run the machine, check the final state.
+
+    A whole monomial is answered without running its sequences, by one
+    backward pass over sets of states (the bounded-reachability step of
+    symbolic model checking). ``query_count`` still grows by exactly the
+    number of queries the default expansion loop would have made, so
+    the counts in a report do not depend on which way it was answered.
+    States are bit positions in masks; the index is built once, here.
+    """
 
     def __init__(self, machine: MealyMachine):
         super().__init__()
         self.machine = machine
+        number = {s: k for k, s in enumerate(machine.states)}
+        # succ[sym][k]: the state that sym leads to from state k
+        self._succ = {
+            sym: [number[machine.transitions[(s, sym)][0]]
+                  for s in machine.states]
+            for sym in machine.inputs}
+        # pred[sym][k]: the states that sym leads to state k; pred[None]
+        # unites them over the alphabet, for a don't-care position
+        self._pred = {sym: [0] * len(machine.states)
+                      for sym in (*machine.inputs, None)}
+        for sym, succ in self._succ.items():
+            for k, dst in enumerate(succ):
+                self._pred[sym][dst] |= 1 << k
+                self._pred[None][dst] |= 1 << k
+        self._initial = number[machine.initial]
+        self._safe = sum(1 << number[s] for s in machine.safe_states)
+        self._unsafe = (1 << len(machine.states)) - 1 - self._safe
 
     @property
     def input_alphabet(self) -> tuple[str, ...]:
@@ -71,3 +113,43 @@ class MachineSafetyQuery(SafetyQuery):
 
     def _answer(self, seq: tuple[str, ...]) -> bool:
         return self.machine.trace(seq).safe
+
+    def answer_monomial(self, candidate: Monomial, want_all: bool) -> bool:
+        """The default loop's verdict and query count, without its runs.
+
+        The loop stops early iff some covered sequence ends in a state
+        that decides the answer (unsafe when ``want_all``, else safe),
+        that is iff the initial state lies in ``stop[0]`` below.
+        """
+        symbols = candidate.symbols
+        # stop[pos]: the states from which some covered suffix
+        # symbols[pos:] ends in a state that stops the expansion loop
+        stop = [0] * (len(symbols) + 1)
+        stop[-1] = self._unsafe if want_all else self._safe
+        for pos in range(len(symbols) - 1, -1, -1):
+            pred, after, into = self._pred[symbols[pos]], stop[pos + 1], 0
+            while after:
+                low = after & -after
+                into |= pred[low.bit_length() - 1]
+                after ^= low
+            stop[pos] = into
+        alphabet = self.input_alphabet
+        if not stop[0] >> self._initial & 1:
+            self.query_count += candidate.expansion_size(len(alphabet))
+            return want_all
+        # Walk the loop's order to its first stopping sequence: each
+        # sibling subtree passed on the way is queried in full.
+        queries, state = 1, self._initial
+        free_after = symbols.count(None)
+        for pos, sym in enumerate(symbols):
+            if sym is not None:
+                state = self._succ[sym][state]
+                continue
+            free_after -= 1
+            for choice in alphabet:
+                if stop[pos + 1] >> self._succ[choice][state] & 1:
+                    break
+                queries += len(alphabet) ** free_after
+            state = self._succ[choice][state]
+        self.query_count += queries
+        return not want_all

@@ -13,7 +13,7 @@ from pacreach.analysis import (CSV_COLUMNS, REFERENCE_RESULTS, AnalysisReport,
 from pacreach.bounds import required_samples, safety_probability, \
     solve_confidence
 from pacreach.errors import ResourceCapError, ValidationError
-from pacreach.models import build_alks
+from pacreach.models import BUNDLED, build_alks
 from pacreach.monomials import Monomial, MonomialSet
 from pacreach.seeding import derive_seed
 from pacreach.sul import MachineSafetyQuery
@@ -255,3 +255,12 @@ def test_table_csv_matches_the_golden_file(table):
     # count, a float repr or a query counter shows up here
     golden = Path(__file__).parent / "golden" / "reproduce_table_seed7.csv"
     assert table.csv_text == golden.read_text(encoding="utf-8")
+
+
+def test_long_horizon_csv_matches_the_golden_file():
+    # the n=12 analysis of the benchmark's deep workload, frozen; pins
+    # the oracle's verdicts and query counts past the table's horizons
+    report = analyze(BUNDLED["alks_with"](), horizon=12,
+                     model_name="alks_with", sample_budget=1000, seed=7)
+    golden = Path(__file__).parent / "golden" / "alks_with_n12_seed7.csv"
+    assert reports_to_csv([report]) == golden.read_text(encoding="utf-8")

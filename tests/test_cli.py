@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from pacreach import analysis
+from pacreach import analysis, learner
 from pacreach.baselines import monte_carlo
 from pacreach.bounds import required_samples
 from pacreach.cli import main
@@ -149,22 +149,86 @@ def test_exit_code_for_a_peer_sending_invalid_utf8(capsys):
     assert "not UTF-8" in err
 
 
+# A --cmd child: appends its pid to a file and serves a model. Given a
+# request count, the first child exits after that many requests and
+# every later one exits at once.
+CHILD = """\
+import itertools, os, sys
+from pacreach.models import resolve_model
+from pacreach.wire import serve_stdio
+pid_file, model, lines = sys.argv[1:]
+first = not os.path.exists(pid_file)
+with open(pid_file, "a") as fh:
+    fh.write(f"{os.getpid()}\\n")
+requests = sys.stdin.buffer
+if lines:
+    requests = itertools.islice(requests, int(lines) if first else 0)
+serve_stdio(resolve_model(model), stdin=requests)
+"""
+
+
+def child_command(pid_file, model="alks_without", lines=""):
+    return shlex.join([sys.executable, "-c", CHILD, str(pid_file), model,
+                       str(lines)])
+
+
+def assert_children_gone(pid_file):
+    # a child that was waited for is gone; one still running, or exited
+    # but never reaped, still answers signal 0
+    pids = [int(line) for line in pid_file.read_text().split()]
+    assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 @pytest.mark.parametrize("command", ["analyze", "estimate"])
 def test_the_cmd_child_has_exited_when_main_returns(command, tmp_path,
                                                     capsys):
     pid_file = tmp_path / "child.pid"
-    script = (f"import os, sys\n"
-              f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
-              f"from pacreach.cli import main\n"
-              f"sys.exit(main(['serve-model', '--model', 'alks_without']))\n")
-    code, _, _ = run_cli(capsys, command, "--cmd",
-                         f"{sys.executable} -c {shlex.quote(script)}",
+    code, _, _ = run_cli(capsys, command, "--cmd", child_command(pid_file),
                          "--unsafe-outputs", "alarm", "-n", "3", "-L", "20")
     assert code == 0
-    # a child that was waited for is gone; one still running, or exited
-    # but never reaped, still answers signal 0
-    with pytest.raises(ProcessLookupError):
-        os.kill(int(pid_file.read_text()), 0)
+    assert_children_gone(pid_file)
+
+
+def test_no_cmd_child_outlives_a_transport_error(tmp_path, capsys):
+    # the first child dies mid-run, both reconnects find a child that
+    # exits at once, and the client gives up
+    pid_file = tmp_path / "child.pid"
+    code, _, err = run_cli(capsys, "analyze",
+                           "--cmd", child_command(pid_file, lines=40),
+                           "--unsafe-outputs", "alarm", "--retries", "2",
+                           "-n", "3", "-L", "20")
+    assert code == 3
+    assert "giving up after 3 attempts" in err
+    assert len(pid_file.read_text().split()) == 3
+    assert_children_gone(pid_file)
+
+
+def test_no_cmd_child_outlives_a_sampling_cap(tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.setattr(learner, "DEFAULT_SAMPLE_ATTEMPT_CAP", 25)
+    pid_file = tmp_path / "child.pid"
+    code, _, err = run_cli(capsys, "analyze",
+                           "--cmd", child_command(pid_file, "none_safe"),
+                           "--unsafe-outputs", "ok", "-n", "3", "-L", "20")
+    assert code == 4
+    assert "resource cap" in err
+    assert_children_gone(pid_file)
+
+
+def test_no_cmd_child_outlives_a_keyboard_interrupt(tmp_path, capsys,
+                                                    monkeypatch):
+    def interrupted(*_args, **_kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(analysis, "learn_safe_set", interrupted)
+    pid_file = tmp_path / "child.pid"
+    code, _, _ = run_cli(capsys, "analyze", "--cmd", child_command(pid_file),
+                         "--unsafe-outputs", "alarm", "-n", "3", "-L", "20")
+    assert code == 130
+    assert_children_gone(pid_file)
 
 
 def test_exit_code_when_sampling_never_finds_a_safe_run(capsys):

@@ -3,10 +3,20 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pacreach.analysis import analyze, reports_to_csv
 from pacreach.errors import ValidationError
-from pacreach.models import build_alks
-from pacreach.sul import MachineSafetyQuery
+from pacreach.learner import ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL
+from pacreach.models import BUNDLED, build_alks, random_machine
+from pacreach.monomials import Monomial
+from pacreach.sul import MachineSafetyQuery, SafetyQuery
+
+
+class LoopOnly(MachineSafetyQuery):
+    """The machine adapter on the default expansion loop: one run per query."""
+
+    answer_monomial = SafetyQuery.answer_monomial
 
 
 def test_adapter_agrees_with_trace_exhaustively():
@@ -78,3 +88,53 @@ def test_random_input_is_roughly_uniform():
     freq = Counter(sul.random_input(1, rng)[0] for _ in range(100_000))
     for sym in sul.input_alphabet:
         assert abs(freq[sym] / 100_000 - 1 / 3) < 0.02
+
+
+@st.composite
+def machines(draw):
+    if draw(st.booleans()):
+        return BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))]()
+    return random_machine(
+        num_states=draw(st.integers(1, 6)),
+        alphabet_size=draw(st.integers(1, 4)),
+        unsafe_fraction=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2 ** 32)),
+        absorbing_unsafe=draw(st.booleans()))
+
+
+@st.composite
+def cubes(draw, alphabet):
+    n = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["mixed", "bound", "free"]))
+    if shape == "free":
+        return Monomial((None,) * n)
+    choices = alphabet if shape == "bound" else (*alphabet, None)
+    return Monomial(tuple(draw(st.sampled_from(choices)) for _ in range(n)))
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_machine_answer_matches_the_expansion_loop(data):
+    machine = data.draw(machines())
+    cube = data.draw(cubes(machine.inputs))
+    want_all = data.draw(st.booleans())
+    fast, loop = MachineSafetyQuery(machine), LoopOnly(machine)
+    fast.query_count = loop.query_count = 5  # a delta, not a total
+    verdict = fast.answer_monomial(cube, want_all)
+    assert verdict == loop.answer_monomial(cube, want_all)
+    assert fast.query_count == loop.query_count
+
+
+@pytest.mark.parametrize("semantics", [ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL])
+@pytest.mark.parametrize("model,horizon", [("alks_without", 6),
+                                           ("alks_with", 5), ("coffee", 4)])
+def test_analysis_through_the_loop_gives_the_same_row(model, horizon,
+                                                      semantics):
+    # analyze(machine) answers through MachineSafetyQuery as well, and
+    # adds the census, which a plain SafetyQuery target leaves empty
+    machine = BUNDLED[model]()
+    rows = [reports_to_csv([analyze(
+        target, horizon=horizon, model_name=model, sample_budget=200,
+        seed=7, oracle_semantics=semantics)])
+        for target in (MachineSafetyQuery(machine), LoopOnly(machine))]
+    assert rows[0] == rows[1]
