@@ -8,13 +8,20 @@ stdio or a TCP socket:
     -> STEP l              <- OUT ok
     -> STEP l              <- OUT alarm
 
-The client resets once per sequence, steps each symbol, and classifies
-the FINAL output token against the configured unsafe set. Anything else
-coming back, or a timeout, or a closed pipe, is a transport error; the
-client retries the whole sequence on a fresh connection a bounded
-number of times and then gives up loudly. It never invents a verdict:
-the learning guarantee assumes every answered query is answered
-correctly.
+The client pipelines one sequence's requests: it writes the RESET and
+every STEP in one write, then reads the replies, so a server must answer
+requests in order with one line each (the bundled server does). The
+write-ahead is bounded: at most WRITE_AHEAD_BYTES of requests are
+unanswered at any time, and a longer sequence goes out in windows, each
+sent once the previous one is answered. That keeps the client from
+blocking in a write while the server blocks writing replies nobody
+reads. The verdict is the FINAL output token checked against the
+configured unsafe set. Anything else coming back, a timeout or a closed
+pipe anywhere in the batch is a transport error: the client drops the
+connection, so no stale reply reaches the next query, and retries the
+whole sequence on a fresh connection a bounded number of times before
+it gives up loudly. It never invents a verdict: the learning guarantee
+assumes every answered query is answered correctly.
 
 The server half drives a MealyMachine over the same protocol so the
 black-box path can be exercised against a known model.
@@ -39,6 +46,11 @@ from .sul import SafetyQuery
 __all__ = ["BlackBoxConfig", "RemoteSafetyQuery", "serve_stdio", "serve_tcp"]
 
 log = logging.getLogger(__name__)
+
+# Most request bytes the client has sent and not yet had answered. Kept
+# well under the smallest pipe or socket buffer, so a write of one window
+# always completes without the peer reading.
+WRITE_AHEAD_BYTES = 4096
 
 
 @dataclass(frozen=True)
@@ -78,22 +90,29 @@ class BlackBoxConfig:
 
 
 class _Channel:
-    """One live connection with line-oriented, deadline-bounded reads."""
+    """One live connection with line-oriented, deadline-bounded reads.
 
-    def __init__(self, fileno: int, recv, send, close):
+    ``counters`` (the owning RemoteSafetyQuery) is charged for every
+    write and every byte in either direction.
+    """
+
+    def __init__(self, fileno: int, recv, send, close, counters):
         self._fileno = fileno
         self._recv = recv
         self._send = send
         self._close = close
+        self._counters = counters
         self._buf = b""
         self._sel = selectors.DefaultSelector()
         self._sel.register(fileno, selectors.EVENT_READ)
 
-    def send_line(self, line: str):
+    def send(self, data: bytes):
         try:
-            self._send((line + "\n").encode("utf-8"))
+            self._send(data)
         except (BrokenPipeError, ConnectionError, OSError) as exc:
             raise TransportError(f"write failed: {exc}") from exc
+        self._counters.writes += 1
+        self._counters.bytes_sent += len(data)
 
     def recv_line(self, timeout: float) -> str:
         deadline = time.monotonic() + timeout
@@ -109,6 +128,7 @@ class _Channel:
                 raise TransportError(f"read failed: {exc}") from exc
             if not chunk:
                 raise TransportError("connection closed by peer")
+            self._counters.bytes_received += len(chunk)
             self._buf += chunk
         line, _, self._buf = self._buf.partition(b"\n")
         try:
@@ -117,12 +137,15 @@ class _Channel:
             raise TransportError(f"reply is not UTF-8: {line[:40]!r}") \
                 from exc
 
+    def has_unread(self) -> bool:
+        return bool(self._buf)
+
     def close(self):
         self._sel.close()
         self._close()
 
 
-def _connect(config: BlackBoxConfig) -> _Channel:
+def _connect(config: BlackBoxConfig, counters) -> _Channel:
     if config.command is not None:
         proc = subprocess.Popen(
             shlex.split(config.command),
@@ -150,7 +173,8 @@ def _connect(config: BlackBoxConfig) -> _Channel:
                     pass  # a failed write left bytes for a child now gone
 
         return _Channel(stdout.fileno(),
-                        lambda n: os.read(stdout.fileno(), n), send, close)
+                        lambda n: os.read(stdout.fileno(), n), send, close,
+                        counters)
 
     host, port = config.host_port()
     try:
@@ -159,32 +183,79 @@ def _connect(config: BlackBoxConfig) -> _Channel:
         raise TransportError(f"cannot connect to {config.address}: {exc}") \
             from exc
     sock.setblocking(True)
-    return _Channel(sock.fileno(), sock.recv, sock.sendall, sock.close)
+    quickack = getattr(socket, "TCP_QUICKACK", None)  # Linux only
+
+    def recv(n: int) -> bytes:
+        data = sock.recv(n)
+        if quickack is not None:
+            # Ack at once. A peer that holds back small writes until the
+            # last one is acked (Nagle) would otherwise stall each batch
+            # of replies for a delayed ack, about 40 ms.
+            sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
+        return data
+
+    return _Channel(sock.fileno(), recv, sock.sendall, sock.close, counters)
 
 
 class RemoteSafetyQuery(SafetyQuery):
-    """Safety queries against a live endpoint speaking the line protocol."""
+    """Safety queries against a live endpoint speaking the line protocol.
+
+    Besides ``query_count`` it counts how the transport behaved:
+    ``requests`` (request lines sent), ``writes``, ``retries`` (attempts
+    repeated after a transport error), ``reconnects`` (connections opened
+    after the first), ``bytes_sent`` and ``bytes_received``.
+    """
 
     def __init__(self, config: BlackBoxConfig):
         super().__init__()
         self.config = config
+        self.requests = 0
+        self.writes = 0
+        self.retries = 0
+        self.reconnects = 0
+        self.bytes_sent = 0
+        self.bytes_received = 0
+        self._connected_before = False
         self._channel: _Channel | None = None
         self._alphabet = self._with_retries(self._request_alphabet)
 
     # -- plumbing ------------------------------------------------------------
 
-    def _exchange(self, request: str) -> list[str]:
-        assert self._channel is not None
-        self._channel.send_line(request)
-        reply = self._channel.recv_line(self.config.timeout)
-        tokens = reply.split()
-        if not tokens:
-            raise TransportError("empty reply")
-        return tokens
+    def _pipeline(self, requests: list[str]):
+        """Send ``requests`` and yield each reply's tokens, in order.
+
+        Requests go out in windows of at most WRITE_AHEAD_BYTES (and at
+        least one request), one write each; a window is sent once every
+        reply to the one before has been read. Exhausting the generator
+        checks that the peer sent nothing beyond the last reply.
+        """
+        channel = self._channel
+        assert channel is not None
+        lines = [(request + "\n").encode("utf-8") for request in requests]
+        start = 0
+        while start < len(lines):
+            stop, size = start + 1, len(lines[start])
+            while (stop < len(lines)
+                   and size + len(lines[stop]) <= WRITE_AHEAD_BYTES):
+                size += len(lines[stop])
+                stop += 1
+            channel.send(b"".join(lines[start:stop]))
+            self.requests += stop - start
+            for _ in range(start, stop):
+                tokens = channel.recv_line(self.config.timeout).split()
+                if not tokens:
+                    raise TransportError("empty reply")
+                yield tokens
+            start = stop
+        if channel.has_unread():
+            raise TransportError("unrequested bytes after the last reply")
 
     def _open(self):
         if self._channel is None:
-            self._channel = _connect(self.config)
+            self._channel = _connect(self.config, self)
+            if self._connected_before:
+                self.reconnects += 1
+            self._connected_before = True
 
     def _drop(self):
         if self._channel is not None:
@@ -203,9 +274,15 @@ class RemoteSafetyQuery(SafetyQuery):
         self.close()
 
     def _with_retries(self, attempt):
-        """Run ``attempt`` on a live channel, reconnecting on failure."""
+        """Run ``attempt`` on a live channel, reconnecting on failure.
+
+        A failed attempt drops the channel, with whatever replies are
+        still in flight on it, and the next attempt starts afresh.
+        """
         failures = []
-        for _ in range(self.config.max_retries + 1):
+        for tries in range(self.config.max_retries + 1):
+            if tries:
+                self.retries += 1
             try:
                 self._open()
                 return attempt()
@@ -218,7 +295,7 @@ class RemoteSafetyQuery(SafetyQuery):
     # -- protocol ------------------------------------------------------------
 
     def _request_alphabet(self) -> tuple[str, ...]:
-        tokens = self._exchange("ALPHABET")
+        (tokens,) = self._pipeline(["ALPHABET"])
         if tokens[0] != "OK" or len(tokens) < 2:
             raise TransportError(f"bad ALPHABET reply: {' '.join(tokens)}")
         return tuple(tokens[1:])
@@ -228,13 +305,15 @@ class RemoteSafetyQuery(SafetyQuery):
         return self._alphabet
 
     def _answer(self, seq: tuple[str, ...]) -> bool:
+        requests = ["RESET", *(f"STEP {sym}" for sym in seq)]
+
         def attempt():
-            tokens = self._exchange("RESET")
+            replies = self._pipeline(requests)
+            tokens = next(replies)
             if tokens != ["OK"]:
                 raise TransportError(f"bad RESET reply: {' '.join(tokens)}")
             last_output = None
-            for sym in seq:
-                tokens = self._exchange(f"STEP {sym}")
+            for tokens in replies:
                 if tokens[0] != "OUT" or len(tokens) != 2:
                     raise TransportError(f"bad STEP reply: {' '.join(tokens)}")
                 last_output = tokens[1]
@@ -317,6 +396,9 @@ def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
     try:
         while max_sessions is None or served < max_sessions:
             conn, addr = server.accept()
+            # one small write per reply: send each at once (no Nagle), or
+            # a pipelining client waits for a delayed ack per batch
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             served += 1
             session = _ModelSession(machine)
             try:

@@ -1,3 +1,5 @@
+import concurrent.futures
+import io
 import logging
 import os
 import random
@@ -6,13 +8,16 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pacreach.errors import TransportError, ValidationError
 from pacreach.models import BUNDLED, build_alks
 from pacreach.sul import MachineSafetyQuery
-from pacreach.wire import (BlackBoxConfig, RemoteSafetyQuery, _ModelSession,
+from pacreach.wire import (WRITE_AHEAD_BYTES, BlackBoxConfig,
+                           RemoteSafetyQuery, _ModelSession, serve_stdio,
                            serve_tcp)
 
 SERVE_WTO = (f"{sys.executable} -m pacreach.cli serve-model "
@@ -33,6 +38,82 @@ def _serve_in_thread(machine, max_sessions):
     server.start()
     assert ready.wait(5)
     return server, addr["value"]
+
+
+class _FakePeer:
+    """A TCP peer for ``alks_without`` whose replies a test can rewrite.
+
+    It answers ALPHABET at once. Any other request starts a batch: that
+    request and the ``n`` after it, as the client sends for one query of
+    length n. The peer computes the true replies to the batch and hands
+    them to ``write(conn, session, replies)``, which sends them, or
+    something else, on ``conn``; ``session`` counts connections from 0.
+    Use it as a context manager.
+    """
+
+    def __init__(self, n, write):
+        self.n = n
+        self.write = write
+        self.machine = build_alks(False)
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.address = "127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        session = 0
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            with conn, conn.makefile("rb") as reader:
+                conn.settimeout(None)
+                model = _ModelSession(self.machine)
+                try:
+                    for line in reader:
+                        if line.strip() == b"ALPHABET":
+                            conn.sendall(f"{model.respond(line)}\n".encode())
+                            continue
+                        batch = [line] + [reader.readline()
+                                          for _ in range(self.n)]
+                        self.write(conn, session, [
+                            f"{model.respond(r)}\n".encode() for r in batch])
+                except OSError:
+                    pass  # the client dropped the connection
+            session += 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join(5)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+
+def _send_all(conn, session, replies):
+    conn.sendall(b"".join(replies))
+
+
+def _peer_config(peer, **kwargs):
+    return BlackBoxConfig(address=peer.address,
+                          unsafe_outputs=frozenset({"alarm"}), **kwargs)
+
+
+def _finishes_within(seconds, fn, on_timeout):
+    """Return ``fn()``, or fail the test once it has run ``seconds``;
+    ``on_timeout`` must unblock ``fn`` so that its thread can end."""
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        future = pool.submit(fn)
+        try:
+            return future.result(timeout=seconds)
+        except concurrent.futures.TimeoutError:
+            on_timeout()
+            pytest.fail(f"no answer within {seconds} s")
 
 
 def _ask(sock, request: bytes) -> bytes:
@@ -234,3 +315,191 @@ def test_a_reset_connection_ends_only_its_own_session(caplog):
         server.join(5)
     assert not server.is_alive()
     assert "ended" in caplog.text
+
+
+def test_a_query_longer_than_the_write_ahead_window_is_answered():
+    # 50,001 requests are far more than both pipe buffers hold: sent in
+    # one write, the client would block in write while the server
+    # blocked writing replies nobody reads
+    machine = build_alks(False)
+    local = MachineSafetyQuery(machine)
+    seq = local.random_input(50_000, random.Random(5))
+    want = local.is_safe(seq)
+    cfg = BlackBoxConfig(command=SERVE_WTO,
+                         unsafe_outputs=frozenset({"alarm"}),
+                         timeout=10.0, max_retries=0)
+    with RemoteSafetyQuery(cfg) as remote:
+        assert _finishes_within(60, lambda: remote.is_safe(seq),
+                                remote.close) == want
+    server, (host, port) = _serve_in_thread(machine, max_sessions=1)
+    cfg = BlackBoxConfig(address=f"{host}:{port}",
+                         unsafe_outputs=frozenset({"alarm"}),
+                         timeout=10.0, max_retries=0)
+    with RemoteSafetyQuery(cfg) as remote:
+        assert _finishes_within(60, lambda: remote.is_safe(seq),
+                                remote.close) == want
+    server.join(5)
+    assert not server.is_alive()
+
+
+def test_counters_on_one_session():
+    machine = build_alks(False)
+    local = MachineSafetyQuery(machine)
+    rng = random.Random(8)
+    n, q = 6, 40
+    seqs = [local.random_input(n, rng) for _ in range(q)]
+    replies = _ModelSession(machine)
+    requests = ["ALPHABET"]
+    for seq in seqs:
+        requests += ["RESET", *(f"STEP {sym}" for sym in seq)]
+    expect_sent = sum(len(request) + 1 for request in requests)
+    expect_received = sum(len(replies.respond(request)) + 1
+                          for request in requests)
+    cfg = BlackBoxConfig(command=SERVE_WTO,
+                         unsafe_outputs=frozenset({"alarm"}))
+    with RemoteSafetyQuery(cfg) as remote:
+        for seq in seqs:
+            assert remote.is_safe(seq) == local.is_safe(seq)
+        assert remote.requests == q * (n + 1) + 1
+        assert remote.writes == q + 1
+        assert (remote.retries, remote.reconnects) == (0, 0)
+        assert remote.bytes_sent == expect_sent
+        assert remote.bytes_received == expect_received
+        # RESET and 1,000 STEPs are 7,006 bytes: two windows
+        assert 6 + 1000 * 7 > WRITE_AHEAD_BYTES >= (6 + 1000 * 7) / 2
+        remote.is_safe(("l",) * 1000)
+        assert remote.writes == q + 3
+        assert remote.requests == q * (n + 1) + 1 + 1001
+
+
+def test_a_bad_reply_mid_batch_is_transport_error_once_retries_run_out():
+    def bad_third_step(conn, session, replies):
+        replies[3] = b"WAT\n"
+        conn.sendall(b"".join(replies))
+
+    with _FakePeer(5, bad_third_step) as peer:
+        with RemoteSafetyQuery(_peer_config(peer, timeout=2.0,
+                                            max_retries=2)) as remote:
+            with pytest.raises(TransportError, match="bad STEP reply: WAT"):
+                remote.is_safe(("s",) * 5)
+            assert (remote.retries, remote.reconnects) == (2, 2)
+            assert remote.query_count == 0
+
+
+def test_a_retry_after_a_bad_reply_mid_batch_leaves_no_stale_reply():
+    # the first session's third STEP reply is bad and the replies after
+    # it still arrive; they must go with the dropped connection
+    def bad_on_first_session(conn, session, replies):
+        if session == 0:
+            replies[3] = b"OUT\n"
+        conn.sendall(b"".join(replies))
+
+    local = MachineSafetyQuery(build_alks(False))
+    with _FakePeer(5, bad_on_first_session) as peer:
+        with RemoteSafetyQuery(_peer_config(peer, timeout=2.0,
+                                            max_retries=2)) as remote:
+            first, second = ("l",) * 5, ("s", "s", "l", "r", "s")
+            assert local.is_safe(first) != local.is_safe(second)
+            assert remote.is_safe(first) == local.is_safe(first)
+            assert remote.is_safe(second) == local.is_safe(second)
+            assert (remote.retries, remote.reconnects) == (1, 1)
+            assert remote.query_count == 2
+
+
+def test_a_reply_nobody_asked_for_fails_the_query_it_follows():
+    def extra_reply_on_first_session(conn, session, replies):
+        conn.sendall(b"".join(replies) + (b"OUT ok\n" if session == 0
+                                          else b""))
+
+    local = MachineSafetyQuery(build_alks(False))
+    with _FakePeer(3, extra_reply_on_first_session) as peer:
+        with RemoteSafetyQuery(_peer_config(peer, max_retries=1)) as remote:
+            assert remote.is_safe(("l", "l", "s")) == \
+                local.is_safe(("l", "l", "s"))
+            assert (remote.retries, remote.reconnects) == (1, 1)
+            assert remote.is_safe(("s", "l", "l")) == \
+                local.is_safe(("s", "l", "l"))
+            assert remote.retries == 1
+
+
+def _one_byte_at_a_time(conn, session, replies):
+    for byte in b"".join(replies):
+        conn.sendall(bytes([byte]))
+
+
+def _one_reply_at_a_time(conn, session, replies):
+    for reply in replies:
+        conn.sendall(reply)
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"),
+                    reason="the client acks at once only where it can")
+def test_a_peer_that_delays_small_writes_does_not_stall_each_query():
+    # the peer leaves Nagle on, so it holds each batch's later replies
+    # until the first is acked; a delayed ack would cost ~40 ms a query
+    local = MachineSafetyQuery(build_alks(False))
+    rng = random.Random(13)
+    seqs = [local.random_input(5, rng) for _ in range(100)]
+    with _FakePeer(5, _one_reply_at_a_time) as peer:
+        with RemoteSafetyQuery(_peer_config(peer, max_retries=0)) as remote:
+            started = time.monotonic()
+            for seq in seqs:
+                assert remote.is_safe(seq) == local.is_safe(seq)
+            assert time.monotonic() - started < 2.0
+
+
+@pytest.mark.parametrize("write", [_one_byte_at_a_time, _one_reply_at_a_time,
+                                   _send_all])
+def test_replies_split_or_joined_anyhow_give_the_in_process_verdict(write):
+    local = MachineSafetyQuery(build_alks(False))
+    rng = random.Random(12)
+    with _FakePeer(4, write) as peer:
+        with RemoteSafetyQuery(_peer_config(peer, max_retries=0)) as remote:
+            for _ in range(60):
+                seq = local.random_input(4, rng)
+                assert remote.is_safe(seq) == local.is_safe(seq)
+            assert remote.writes == 61
+
+
+_REPLY_PIECES = [b"OK\n", b"OUT ok\n", b"OUT alarm\n", b"OUT\n", b"OK",
+                 b"ERR x\n", b"\n", b" ", b"\r\n", b"\xff\n"]
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.binary(max_size=80), st.text(max_size=80)))
+def test_the_server_answers_any_request_with_one_line(request):
+    machine = build_alks(True)
+    reply = _ModelSession(machine).respond(request)
+    assert "\n" not in reply
+    assert reply.split(" ", 1)[0] in ("OK", "OUT", "ERR")
+    # and over a whole stream, one reply line per request line
+    data = request.encode("utf-8", "surrogatepass") \
+        if isinstance(request, str) else request
+    out = io.StringIO()
+    serve_stdio(machine, io.BytesIO(data + b"\nRESET\n"), out)
+    lines = out.getvalue().split("\n")
+    assert lines.pop() == ""
+    assert len(lines) == data.count(b"\n") + 2
+    assert lines[-1] == "OK"
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 3),
+       st.one_of(st.binary(max_size=40),
+                 st.lists(st.sampled_from(_REPLY_PIECES), max_size=6)
+                 .map(b"".join)))
+def test_any_reply_bytes_give_a_verdict_or_transport_error_in_time(n, junk):
+    def reply_junk(conn, session, replies):
+        conn.sendall(junk)
+
+    config = dict(timeout=0.1, max_retries=1)
+    with _FakePeer(n, reply_junk) as peer:
+        with RemoteSafetyQuery(_peer_config(peer, **config)) as remote:
+            started = time.monotonic()
+            try:
+                verdict = remote.is_safe(("l",) * n)
+            except TransportError:
+                verdict = None
+            waited = time.monotonic() - started
+    assert verdict in (True, False, None)
+    assert waited < (config["max_retries"] + 1) * (n + 1) * config["timeout"]
