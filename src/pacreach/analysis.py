@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .baselines import exact_count_dp, monte_carlo
-from .bounds import safety_probability, solve_confidence, required_samples
+from .bounds import (rate_for_confidence, required_samples,
+                     safety_probability, solve_confidence)
 from .errors import ResourceCapError, ValidationError
 from .learner import (LearnerConfig, LearnerStats, ORACLE_ALL_SAFE,
                       learn_safe_set)
@@ -110,8 +111,7 @@ class AnalysisReport:
     stats: LearnerStats
 
     def to_json_dict(self) -> dict:
-        data = asdict(self)
-        return data
+        return asdict(self)
 
 
 CSV_COLUMNS = [
@@ -162,49 +162,6 @@ def _count_exact_or_fallback(learned: MonomialSet, alphabet: tuple[str, ...],
         return None, used, True, formula > total
 
 
-def _run_one(sul: SafetyQuery, machine: MealyMachine | None, model_name: str,
-             horizon: int, sample_budget: int, seed: int, learner_seed: int,
-             mc_seed: int, oracle_semantics: str) -> AnalysisReport:
-    cfg = LearnerConfig(
-        horizon=horizon, sample_budget=sample_budget, rng_seed=learner_seed,
-        oracle_semantics=oracle_semantics)
-    learned, stats = learn_safe_set(sul, cfg)
-    alphabet = sul.input_alphabet
-    total = len(alphabet) ** horizon
-    formula = learned.count_formula(len(alphabet))
-    exact, used, upper, clipped = _count_exact_or_fallback(
-        learned, alphabet, formula, total)
-    bound = solve_confidence(sample_budget, used)
-    baseline = monte_carlo(sul, horizon, sample_budget, mc_seed)
-    exact_paths = exact_prob = None
-    if machine is not None:
-        census = exact_count_dp(machine, horizon)
-        exact_paths, exact_prob = census.safe_paths, census.probability
-    return AnalysisReport(
-        format_version=FORMAT_VERSION,
-        model_name=model_name,
-        horizon=horizon,
-        alphabet_size=len(alphabet),
-        total_sequences=total,
-        samples=sample_budget,
-        covered_formula=formula,
-        covered_exact=exact,
-        covered_used=used,
-        covered_is_upper_bound=upper,
-        probability_clipped=clipped,
-        learned_probability=safety_probability(used, len(alphabet), horizon),
-        baseline_estimate=baseline.estimate,
-        baseline_std_error=baseline.std_error,
-        exact_safe_paths=exact_paths,
-        exact_probability=exact_prob,
-        confidence=bound.confidence,
-        inverse_error=bound.inverse_error,
-        seed=seed,
-        oracle_semantics=oracle_semantics,
-        stats=stats,
-    )
-
-
 def analyze(target, *, horizon: int, model_name: str | None = None,
             sample_budget: int | None = None,
             target_confidence: float | None = None,
@@ -234,23 +191,54 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
     if (sample_budget is None) == (target_confidence is None):
         raise ValidationError(
             "exactly one of sample_budget / target_confidence must be given")
+    alphabet = sul.input_alphabet
+    total = len(alphabet) ** horizon
 
     def run(budget: int, label: str) -> AnalysisReport:
-        return _run_one(
-            sul, machine, model_name, horizon, budget, seed,
-            learner_seed=derive_seed(seed, f"learner:{label}"),
-            mc_seed=derive_seed(seed, f"monte-carlo:{label}"),
+        cfg = LearnerConfig(
+            horizon=horizon, sample_budget=budget,
+            rng_seed=derive_seed(seed, f"learner:{label}"),
             oracle_semantics=oracle_semantics)
+        learned, stats = learn_safe_set(sul, cfg)
+        formula = learned.count_formula(len(alphabet))
+        exact, used, upper, clipped = _count_exact_or_fallback(
+            learned, alphabet, formula, total)
+        bound = solve_confidence(budget, used)
+        baseline = monte_carlo(sul, horizon, budget,
+                               derive_seed(seed, f"monte-carlo:{label}"))
+        exact_paths = exact_prob = None
+        if machine is not None:
+            census = exact_count_dp(machine, horizon)
+            exact_paths, exact_prob = census.safe_paths, census.probability
+        return AnalysisReport(
+            format_version=FORMAT_VERSION,
+            model_name=model_name,
+            horizon=horizon,
+            alphabet_size=len(alphabet),
+            total_sequences=total,
+            samples=budget,
+            covered_formula=formula,
+            covered_exact=exact,
+            covered_used=used,
+            covered_is_upper_bound=upper,
+            probability_clipped=clipped,
+            learned_probability=safety_probability(used, len(alphabet),
+                                                   horizon),
+            baseline_estimate=baseline.estimate,
+            baseline_std_error=baseline.std_error,
+            exact_safe_paths=exact_paths,
+            exact_probability=exact_prob,
+            confidence=bound.confidence,
+            inverse_error=bound.inverse_error,
+            seed=seed,
+            oracle_semantics=oracle_semantics,
+            stats=stats,
+        )
 
     if sample_budget is not None:
-        if sample_budget < 1:
-            raise ValidationError("sample budget must be >= 1")
         return run(sample_budget, "main")
 
-    if not 0.0 < target_confidence < 1.0:
-        raise ValidationError(
-            f"target confidence must lie in (0, 1), got {target_confidence}")
-    rate = 1.0 / (1.0 - target_confidence)
+    rate = rate_for_confidence(target_confidence)
     if d_bound is not None:
         return run(required_samples(rate, d_bound), "main")
     # No covered-count bound given: double the budget until the achieved

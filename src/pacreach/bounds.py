@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .errors import ValidationError
 
-__all__ = ["PacBound", "required_samples", "solve_confidence",
-           "safety_probability"]
+__all__ = ["PacBound", "rate_for_confidence", "required_samples",
+           "solve_confidence", "safety_probability"]
 
 # Above this, an integer no longer fits the double mantissa and the
 # bound is evaluated in exact rational arithmetic instead.
@@ -47,6 +47,14 @@ def _confidence(inverse_error: float) -> float:
     if inverse_error <= 1.0:
         return 0.0
     return 1.0 - 1.0 / inverse_error
+
+
+def rate_for_confidence(confidence: float) -> float:
+    """The inverse of `_confidence`: the rate 1/(1 - confidence)."""
+    if not 0.0 < confidence < 1.0:
+        raise ValidationError(
+            f"confidence must lie in (0, 1), got {confidence}")
+    return 1.0 / (1.0 - confidence)
 
 
 def required_samples(inverse_error: float, positives: int) -> int:

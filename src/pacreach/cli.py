@@ -24,14 +24,15 @@ from pathlib import Path
 
 from . import analysis
 from .baselines import exact_count_dp, monte_carlo
-from .bounds import required_samples, solve_confidence
+from .bounds import rate_for_confidence, required_samples, solve_confidence
 from .errors import (PacreachError, ResourceCapError, TransportError,
                      ValidationError)
 from .learner import ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL
 from .models import resolve_model
 from .seeding import derive_seed
 from .sul import MachineSafetyQuery
-from .wire import BlackBoxConfig, RemoteSafetyQuery, serve_stdio, serve_tcp
+from .wire import (BlackBoxConfig, RemoteSafetyQuery, parse_host_port,
+                   serve_stdio, serve_tcp)
 
 __all__ = ["main"]
 
@@ -60,10 +61,7 @@ def _open_target(args):
     A black box's connection, and the child process behind ``--cmd``, is
     closed when the block exits.
     """
-    chosen = [name for name, val in
-              (("--model", args.model), ("--endpoint", args.endpoint),
-               ("--cmd", args.cmd)) if val]
-    if len(chosen) != 1:
+    if sum(map(bool, (args.model, args.endpoint, args.cmd))) != 1:
         raise ValidationError(
             "exactly one of --model / --endpoint / --cmd is required")
     if args.model:
@@ -92,17 +90,14 @@ def _render_report(report: analysis.AnalysisReport, fmt: str | None) -> str:
         return analysis.reports_to_csv([report])
     if fmt == "json-lines":
         return analysis.reports_to_json_lines([report])
-    lines = []
     data = report.to_json_dict()
     stats = data.pop("stats")
+    data.update((f"stats.{key}", value) for key, value in stats.items())
+    lines = []
     for key, value in data.items():
         if isinstance(value, float):
             value = f"{value:.6g}"
         lines.append(f"{key}: {value}")
-    for key, value in stats.items():
-        if isinstance(value, float):
-            value = f"{value:.6g}"
-        lines.append(f"stats.{key}: {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -121,8 +116,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    if not args.model:
-        raise ValidationError("exact needs --model (white-box only)")
     machine = resolve_model(args.model)
     census = exact_count_dp(machine, args.n, semantics=args.semantics)
     print(f"safe_paths: {census.safe_paths}")
@@ -150,9 +143,7 @@ def _cmd_sample_size(args) -> int:
     if args.inverse_error is not None:
         rate = args.inverse_error
     else:
-        if not 0.0 < args.confidence < 1.0:
-            raise ValidationError("confidence must lie in (0, 1)")
-        rate = 1.0 / (1.0 - args.confidence)
+        rate = rate_for_confidence(args.confidence)
     if args.d_bound is None:
         raise ValidationError("--d-bound is required")
     print(required_samples(rate, args.d_bound))
@@ -175,27 +166,20 @@ def _cmd_reproduce_table(args) -> int:
         table_text = analysis.reports_to_json_lines(result.reports)
     else:
         table_text = result.csv_text
-    if args.out:
-        Path(args.out).write_text(table_text, encoding="utf-8")
-        sys.stdout.write(result.diff_text)
-    else:
-        sys.stdout.write(table_text)
-        sys.stderr.write(result.diff_text)
+    _emit(table_text, args.out)
+    (sys.stdout if args.out else sys.stderr).write(result.diff_text)
     return 0
 
 
 def _cmd_serve_model(args) -> int:
     machine = resolve_model(args.model)
     if args.listen:
-        host, _, port = args.listen.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValidationError(
-                f"--listen expects HOST:PORT, got {args.listen!r}")
+        host, port = parse_host_port(args.listen)
 
         def ready(bound_host, bound_port):
             print(f"LISTENING {bound_host} {bound_port}", flush=True)
 
-        serve_tcp(machine, host, int(port), ready=ready,
+        serve_tcp(machine, host, port, ready=ready,
                   max_sessions=args.max_sessions)
     else:
         serve_stdio(machine)
@@ -295,7 +279,7 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4
-    except (ValidationError, PacreachError) as exc:
+    except PacreachError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:

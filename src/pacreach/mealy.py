@@ -129,10 +129,7 @@ class MealyMachine:
 
 def parse_model(text: str) -> MealyMachine:
     """Parse the plain-text model format into a validated machine."""
-    inputs: list[str] | None = None
-    outputs: list[str] | None = None
-    initial: str | None = None
-    safe: list[str] | None = None
+    headers: dict[str, list[str]] = {}
     # (line number, src, sym, dst, out), in file order
     transition_rows: list[tuple[int, str, str, str, str]] = []
 
@@ -140,32 +137,18 @@ def parse_model(text: str) -> MealyMachine:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        head, _, rest = line.partition(":")
-        if _ and " " not in head:
+        head, colon, rest = line.partition(":")
+        if colon and " " not in head:
             key = head.strip()
-            values = rest.split()
-            if key == "inputs":
-                if inputs is not None:
-                    raise ParseError("duplicate 'inputs:' header", line=lineno)
-                inputs = values
-            elif key == "outputs":
-                if outputs is not None:
-                    raise ParseError("duplicate 'outputs:' header", line=lineno)
-                outputs = values
-            elif key == "initial":
-                if initial is not None:
-                    raise ParseError("duplicate 'initial:' header", line=lineno)
-                if len(values) != 1:
-                    raise ParseError(
-                        f"'initial:' expects one state, got {len(values)}",
-                        line=lineno)
-                initial = values[0]
-            elif key == "safe":
-                if safe is not None:
-                    raise ParseError("duplicate 'safe:' header", line=lineno)
-                safe = values
-            else:
+            if key not in ("inputs", "outputs", "initial", "safe"):
                 raise ParseError(f"unknown header {key!r}", line=lineno)
+            if key in headers:
+                raise ParseError(f"duplicate '{key}:' header", line=lineno)
+            headers[key] = rest.split()
+            if key == "initial" and len(headers[key]) != 1:
+                raise ParseError(
+                    f"'initial:' expects one state, got {len(headers[key])}",
+                    line=lineno)
             continue
         tokens = line.split()
         if len(tokens) != 6 or tokens[2] != "->" or tokens[4] != "/":
@@ -175,15 +158,13 @@ def parse_model(text: str) -> MealyMachine:
         src, sym, _, dst, _, out = tokens
         transition_rows.append((lineno, src, sym, dst, out))
 
-    for name, val in (("inputs", inputs), ("outputs", outputs),
-                      ("initial", initial)):
-        if val is None:
+    for name in ("inputs", "outputs", "initial"):
+        if name not in headers:
             raise ParseError(f"missing '{name}:' header")
     if not transition_rows:
         raise ParseError("no transition lines")
-    assert inputs is not None and outputs is not None and initial is not None
 
-    input_set = set(inputs)
+    input_set = set(headers["inputs"])
     # State order: first appearance as a transition source.
     states: list[str] = []
     transitions: dict[tuple[str, str], tuple[str, str]] = {}
@@ -200,11 +181,11 @@ def parse_model(text: str) -> MealyMachine:
 
     return MealyMachine(
         states=tuple(states),
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
+        inputs=tuple(headers["inputs"]),
+        outputs=tuple(headers["outputs"]),
         transitions=transitions,
-        initial=initial,
-        safe_states=frozenset(safe or ()),
+        initial=headers["initial"][0],
+        safe_states=frozenset(headers.get("safe", ())),
     )
 
 
@@ -224,6 +205,16 @@ def serialize_model(machine: MealyMachine) -> str:
 
 
 def load_model(path) -> MealyMachine:
-    """Read and parse a model file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+    """Read and parse a model file from disk; a file that cannot be read
+    or decoded raises a ValidationError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot read model file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"model file {path} is not UTF-8", line=line) \
+            from exc
+    return parse_model(text)

@@ -43,7 +43,8 @@ from .errors import TransportError, ValidationError
 from .mealy import MealyMachine
 from .sul import SafetyQuery
 
-__all__ = ["BlackBoxConfig", "RemoteSafetyQuery", "serve_stdio", "serve_tcp"]
+__all__ = ["BlackBoxConfig", "RemoteSafetyQuery", "parse_host_port",
+           "serve_stdio", "serve_tcp"]
 
 log = logging.getLogger(__name__)
 
@@ -53,12 +54,21 @@ log = logging.getLogger(__name__)
 WRITE_AHEAD_BYTES = 4096
 
 
+def parse_host_port(address: str) -> tuple[str, int]:
+    """Split a HOST:PORT address; the port is a decimal number up to 65535."""
+    host, _, port = address.rpartition(":")
+    if not host or not port.isdecimal() or int(port) > 65535:
+        raise ValidationError(
+            f"address must be HOST:PORT (port 0-65535), got {address!r}")
+    return host, int(port)
+
+
 @dataclass(frozen=True)
 class BlackBoxConfig:
     """How to reach a black box and how to read its verdicts.
 
     Exactly one of ``command`` (a subprocess invocation) and ``address``
-    (a host:port string) must be set.
+    (a HOST:PORT string) must be set.
     """
 
     command: str | None = None
@@ -79,14 +89,6 @@ class BlackBoxConfig:
             raise ValidationError("timeout must be positive")
         if self.max_retries < 0:
             raise ValidationError("max_retries must be >= 0")
-
-    def host_port(self) -> tuple[str, int]:
-        assert self.address is not None
-        host, _, port = self.address.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValidationError(f"address must be host:port, got "
-                                  f"{self.address!r}")
-        return host, int(port)
 
 
 class _Channel:
@@ -176,7 +178,8 @@ def _connect(config: BlackBoxConfig, counters) -> _Channel:
                         lambda n: os.read(stdout.fileno(), n), send, close,
                         counters)
 
-    host, port = config.host_port()
+    assert config.address is not None
+    host, port = parse_host_port(config.address)
     try:
         sock = socket.create_connection((host, port), timeout=config.timeout)
     except OSError as exc:
@@ -257,15 +260,13 @@ class RemoteSafetyQuery(SafetyQuery):
                 self.reconnects += 1
             self._connected_before = True
 
-    def _drop(self):
+    def close(self):
+        """Drop the connection; the next query opens a fresh one."""
         if self._channel is not None:
             try:
                 self._channel.close()
             finally:
                 self._channel = None
-
-    def close(self):
-        self._drop()
 
     def __enter__(self):
         return self
@@ -288,7 +289,7 @@ class RemoteSafetyQuery(SafetyQuery):
                 return attempt()
             except TransportError as exc:
                 failures.append(str(exc))
-                self._drop()
+                self.close()
         raise TransportError(
             f"giving up after {len(failures)} attempts: {failures[-1]}")
 
@@ -296,9 +297,12 @@ class RemoteSafetyQuery(SafetyQuery):
 
     def _request_alphabet(self) -> tuple[str, ...]:
         (tokens,) = self._pipeline(["ALPHABET"])
-        if tokens[0] != "OK" or len(tokens) < 2:
+        symbols = tokens[1:]
+        # a repeated symbol would count one input sequence several times
+        if (tokens[0] != "OK" or not symbols
+                or len(set(symbols)) < len(symbols)):
             raise TransportError(f"bad ALPHABET reply: {' '.join(tokens)}")
-        return tuple(tokens[1:])
+        return tuple(symbols)
 
     @property
     def input_alphabet(self) -> tuple[str, ...]:

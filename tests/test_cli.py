@@ -238,6 +238,26 @@ def test_exit_code_when_sampling_never_finds_a_safe_run(capsys):
     assert "resource cap" in err
 
 
+@pytest.mark.parametrize("argv", [["analyze", "-n", "3", "-L", "10"],
+                                  ["exact", "-n", "3"], ["serve-model"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_an_unreadable_model_file_exits_2(tmp_path, capsys, argv, kind):
+    path = tmp_path
+    if kind == "not-utf8":
+        path = tmp_path / "latin1.machine"
+        path.write_bytes(b"inputs: a\noutputs: \xe9\n")
+    code, _, err = run_cli(capsys, *argv, "--model", str(path))
+    assert code == 2
+    assert str(path) in err
+
+
+def test_exact_with_an_empty_model_path_exits_2(capsys):
+    code, _, err = run_cli(capsys, "exact", "--model", "", "-n", "3")
+    assert code == 2
+    assert "cannot read model file" in err
+
+
 def test_exact_census(capsys):
     code, out, _ = run_cli(capsys, "exact", "--model", "alks_without",
                            "-n", "10")

@@ -149,6 +149,14 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_model(text)
     assert err.value.line == 7
+    text = MINIMAL.replace("initial: q", "initial: q r")
+    with pytest.raises(ParseError, match="expects one state, got 2") as err:
+        parse_model(text)
+    assert err.value.line == 4
+    text = MINIMAL.replace("safe: q", "unsafe: r")
+    with pytest.raises(ParseError, match="unknown header 'unsafe'") as err:
+        parse_model(text)
+    assert err.value.line == 5
 
 
 def test_parse_rejects_undeclared_input_symbol():
@@ -163,9 +171,12 @@ def test_parse_rejects_duplicate_transition():
         parse_model(text)
 
 
-def test_parse_rejects_duplicate_header():
-    with pytest.raises(ParseError, match="duplicate 'inputs:'"):
-        parse_model("inputs: a\n" + MINIMAL)
+@pytest.mark.parametrize("header", ["inputs", "outputs", "initial", "safe"])
+def test_parse_rejects_duplicate_header(header):
+    # a header may follow the transitions; here the repeat is the last line
+    with pytest.raises(ParseError, match=f"duplicate '{header}:'") as err:
+        parse_model(MINIMAL + f"{header}: q\n")
+    assert err.value.line == len(MINIMAL.splitlines()) + 1
 
 
 def test_parse_requires_headers():

@@ -17,8 +17,8 @@ from pacreach.errors import TransportError, ValidationError
 from pacreach.models import BUNDLED, build_alks
 from pacreach.sul import MachineSafetyQuery
 from pacreach.wire import (WRITE_AHEAD_BYTES, BlackBoxConfig,
-                           RemoteSafetyQuery, _ModelSession, serve_stdio,
-                           serve_tcp)
+                           RemoteSafetyQuery, _ModelSession, parse_host_port,
+                           serve_stdio, serve_tcp)
 
 SERVE_WTO = (f"{sys.executable} -m pacreach.cli serve-model "
              f"--model alks_without.machine --stdio")
@@ -138,9 +138,10 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         BlackBoxConfig(command="x", unsafe_outputs=frozenset({"b"}),
                        timeout=0)
-    with pytest.raises(ValidationError):
-        BlackBoxConfig(address="noport",
-                       unsafe_outputs=frozenset({"b"})).host_port()
+    for address in ("noport", ":80", "h:-1", "h:65536", "h:²"):
+        with pytest.raises(ValidationError, match="HOST:PORT"):
+            parse_host_port(address)
+    assert parse_host_port("::1:0") == ("::1", 0)
 
 
 def test_session_protocol_unit():
@@ -221,6 +222,16 @@ def test_protocol_violation_is_transport_error():
         RemoteSafetyQuery(cfg)
 
 
+def test_an_alphabet_reply_that_repeats_a_symbol_is_a_transport_error():
+    # a repeated symbol would count one input sequence several times
+    script = "import sys\nfor line in sys.stdin: print('OK a a', flush=True)"
+    cfg = BlackBoxConfig(command=f"{sys.executable} -c \"{script}\"",
+                         unsafe_outputs=frozenset({"bad"}),
+                         timeout=2.0, max_retries=0)
+    with pytest.raises(TransportError, match="bad ALPHABET reply: OK a a"):
+        RemoteSafetyQuery(cfg)
+
+
 def test_timeout_is_transport_error():
     # a server that accepts but never answers
     script = "import time\ntime.sleep(60)"
@@ -285,7 +296,7 @@ def test_retry_reconnects_after_a_dropped_connection():
                          timeout=5.0, max_retries=2)
     with RemoteSafetyQuery(cfg) as remote:
         assert remote.is_safe(["s", "s"])
-        remote._drop()  # simulate a dropped connection
+        remote.close()  # simulate a dropped connection
         assert remote.is_safe(["l", "l"]) is False
         assert remote.query_count == 2
 
