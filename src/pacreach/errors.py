@@ -17,10 +17,11 @@ class ParseError(ValidationError):
     """Malformed model or monomial text.
 
     Carries the 1-based ``line`` (and ``column`` when known) of the
-    offending token.
+    offending token, and the ``message`` without them.
     """
 
     def __init__(self, message, line=None, column=None):
+        self.message = message
         self.line = line
         self.column = column
         where = ""

@@ -205,8 +205,8 @@ def serialize_model(machine: MealyMachine) -> str:
 
 
 def load_model(path) -> MealyMachine:
-    """Read and parse a model file from disk; a file that cannot be read
-    or decoded raises a ValidationError naming the path."""
+    """Read and parse a model file from disk; a file that cannot be read,
+    decoded or parsed raises a ValidationError naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -217,4 +217,8 @@ def load_model(path) -> MealyMachine:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"model file {path} is not UTF-8", line=line) \
             from exc
-    return parse_model(text)
+    try:
+        return parse_model(text)
+    except ParseError as exc:
+        raise ParseError(f"model file {path}: {exc.message}", line=exc.line,
+                         column=exc.column) from exc

@@ -104,14 +104,28 @@ class MonomialSet:
     the constructor adds each member of the iterable it is given the
     same way, so every member is checked once: its horizon, and that it
     is not already present.
+
+    ``add`` also keeps a member index that ``implies`` and
+    ``count_exact`` both read. Member i is bit i of a mask. Per step,
+    0-indexed, the index holds the members that leave the step free,
+    per symbol the members that bind it, and the members with no bound
+    step at or after it. Entry n stands for the end of the sequence:
+    every member is done there, and none binds or frees it.
     """
 
     horizon: int
     monomials: list[Monomial]
     _members: set[Monomial] = field(default_factory=set, init=False,
                                     repr=False, compare=False)
+    _free: list[int] = field(init=False, repr=False, compare=False)
+    _bound: list[dict[str, int]] = field(init=False, repr=False,
+                                         compare=False)
+    _done: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._free = [0] * (self.horizon + 1)
+        self._bound = [{} for _ in range(self.horizon + 1)]
+        self._done = [0] * (self.horizon + 1)
         given, self.monomials = self.monomials, []
         for m in given:
             self.add(m)
@@ -122,6 +136,16 @@ class MonomialSet:
                 f"member horizon {m.horizon} != set horizon {self.horizon}")
         if m in self._members:
             raise ValidationError(f"duplicate monomial {m}")
+        bit = 1 << len(self.monomials)
+        last = 0
+        for pos, sym in enumerate(m.symbols):
+            if sym is None:
+                self._free[pos] |= bit
+            else:
+                self._bound[pos][sym] = self._bound[pos].get(sym, 0) | bit
+                last = pos + 1
+        for pos in range(last, self.horizon + 1):
+            self._done[pos] |= bit
         self._members.add(m)
         self.monomials.append(m)
 
@@ -132,7 +156,7 @@ class MonomialSet:
         return iter(self.monomials)
 
     def covers(self, seq: Sequence[str]) -> bool:
-        return any(m.covers(seq) for m in self.monomials)
+        return self.implies(Monomial.from_sequence(seq))
 
     def implies(self, v: Monomial) -> bool:
         """True iff some member's bound positions are all bound alike in v.
@@ -145,14 +169,13 @@ class MonomialSet:
         if v.horizon != self.horizon:
             raise ValidationError(
                 f"horizon mismatch: {v.horizon} vs {self.horizon}")
-        vs = v.symbols
-        for m in self.monomials:
-            for s, t in zip(m.symbols, vs):
-                if s is not None and s != t:
-                    break
-            else:
-                return True
-        return False
+        # the members that agree with v at every step so far
+        live = (1 << len(self.monomials)) - 1
+        for free, bound, sym in zip(self._free, self._bound, v.symbols):
+            live &= free if sym is None else free | bound.get(sym, 0)
+            if not live:
+                return False
+        return bool(live)
 
     # -- counting ----------------------------------------------------------
 
@@ -167,52 +190,36 @@ class MonomialSet:
 
         Counting a union of cubes is #DNF, which is #P-hard in general;
         Karp, Luby and Madras (J. Algorithms 10(3), 1989) give a
-        randomized approximation. This count is exact. It walks
-        positions 1..n and keys each prefix by the bitmask of members
+        randomized approximation. This count is exact. It walks the
+        steps in order and keys each prefix by the bitmask of members
         still consistent with it; prefixes with the same key have the
         same completions, so each (position, live set) pair is counted
-        once. A live member with no bound position left covers all
-        k ** (n - pos + 1) completions. Otherwise each symbol that some
-        live member binds at ``pos`` gets its own branch, and all other
+        once. A live member with no bound step left covers every
+        completion of the prefix. Otherwise each symbol that some live
+        member binds at the next step gets its own branch, and all other
         symbols share one branch weighted by how many of them there are.
 
         Raises ResourceCapError once more than ``DEFAULT_COUNT_CAP``
         (position, live set) pairs have been visited; adversarial sets
         can need exponentially many.
         """
-        unknown = sorted({sym for m in self.monomials for sym in m.symbols}
-                         - {None} - set(alphabet))
+        unknown = sorted({sym for bound in self._bound for sym in bound}
+                         - set(alphabet))
         if unknown:
             raise ValidationError(f"bound symbols not in alphabet: {unknown}")
         k, n = len(alphabet), self.horizon
-        # Per position: members that leave it free, members with no bound
-        # position at or after it, and per symbol the members binding it.
-        free = [0] * (n + 2)
-        done = [0] * (n + 2)
-        bound: list[dict[str, int]] = [{} for _ in range(n + 2)]
-        for i, m in enumerate(self.monomials):
-            bit = 1 << i
-            last = 0
-            for pos, sym in enumerate(m.symbols, start=1):
-                if sym is None:
-                    free[pos] |= bit
-                else:
-                    bound[pos][sym] = bound[pos].get(sym, 0) | bit
-                    last = pos
-            for pos in range(last + 1, n + 2):
-                done[pos] |= bit
         total = 0
         visited = 0
         frontier = {(1 << len(self.monomials)) - 1: 1}
-        for pos in range(1, n + 2):
+        for pos in range(n + 1):
             successors: dict[int, int] = {}
             for live, ways in frontier.items():
-                if live & done[pos]:
-                    total += ways * k ** (n - pos + 1)
+                if live & self._done[pos]:
+                    total += ways * k ** (n - pos)
                     continue
-                stay = live & free[pos]
+                stay = live & self._free[pos]
                 others = k
-                for members in bound[pos].values():
+                for members in self._bound[pos].values():
                     hit = live & members
                     if hit:
                         others -= 1

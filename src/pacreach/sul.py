@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ValidationError
@@ -45,11 +46,15 @@ class SafetyQuery(ABC):
     def _answer(self, seq: tuple[str, ...]) -> bool:
         """Produce the verdict for one sequence."""
 
+    @cached_property
+    def _symbol_set(self) -> frozenset[str]:
+        # built once: an adapter's alphabet is fixed after construction
+        return frozenset(self.input_alphabet)
+
     def is_safe(self, seq: Sequence[str]) -> bool:
         symbols = tuple(seq)
-        alphabet = set(self.input_alphabet)
-        unknown = [s for s in symbols if s not in alphabet]
-        if unknown:
+        if not self._symbol_set.issuperset(symbols):
+            unknown = [s for s in symbols if s not in self._symbol_set]
             raise ValidationError(f"symbols not in alphabet: {unknown}")
         verdict = self._answer(symbols)
         self.query_count += 1
@@ -78,25 +83,29 @@ class SafetyQuery(ABC):
 class MachineSafetyQuery(SafetyQuery):
     """In-process adapter: run the machine, check the final state.
 
+    The machine is indexed once, here. States are numbered in declared
+    order: ``_succ[sym][k]`` is the state number that ``sym`` leads to
+    from state k, and ``_pred[sym][k]`` the mask of states that ``sym``
+    leads to state k (``_pred[None]`` over the whole alphabet). Masks
+    ``_safe`` and ``_unsafe`` split the states, and ``_initial`` is a
+    number. A query folds ``_succ`` from ``_initial`` and reads one bit
+    of ``_safe``; no output trace is built.
+
     A whole monomial is answered without running its sequences, by one
     backward pass over sets of states (the bounded-reachability step of
     symbolic model checking). ``query_count`` still grows by exactly the
     number of queries the default expansion loop would have made, so
     the counts in a report do not depend on which way it was answered.
-    States are bit positions in masks; the index is built once, here.
     """
 
     def __init__(self, machine: MealyMachine):
         super().__init__()
         self.machine = machine
         number = {s: k for k, s in enumerate(machine.states)}
-        # succ[sym][k]: the state that sym leads to from state k
         self._succ = {
             sym: [number[machine.transitions[(s, sym)][0]]
                   for s in machine.states]
             for sym in machine.inputs}
-        # pred[sym][k]: the states that sym leads to state k; pred[None]
-        # unites them over the alphabet, for a don't-care position
         self._pred = {sym: [0] * len(machine.states)
                       for sym in (*machine.inputs, None)}
         for sym, succ in self._succ.items():
@@ -112,7 +121,10 @@ class MachineSafetyQuery(SafetyQuery):
         return self.machine.inputs
 
     def _answer(self, seq: tuple[str, ...]) -> bool:
-        return self.machine.trace(seq).safe
+        state = self._initial
+        for sym in seq:
+            state = self._succ[sym][state]
+        return bool(self._safe >> state & 1)
 
     def answer_monomial(self, candidate: Monomial, want_all: bool) -> bool:
         """The default loop's verdict and query count, without its runs.

@@ -252,6 +252,15 @@ def test_an_unreadable_model_file_exits_2(tmp_path, capsys, argv, kind):
     assert str(path) in err
 
 
+def test_a_model_parse_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "syn.machine"
+    path.write_text("inputs: a\noutputs: o\ninitial: q\nq a q / o\n")
+    code, _, err = run_cli(capsys, "exact", "--model", str(path), "-n", "3")
+    assert code == 2
+    assert err == (f"error: line 4, column 1: model file {path}: "
+                   f"expected 'STATE INPUT -> STATE / OUTPUT'\n")
+
+
 def test_exact_with_an_empty_model_path_exits_2(capsys):
     code, _, err = run_cli(capsys, "exact", "--model", "", "-n", "3")
     assert code == 2

@@ -208,6 +208,30 @@ def test_count_exact_matches_brute_force_on_generated_sets(n, k, size, data):
     assert g.count_exact(alphabet) == covered
 
 
+def _implies_by_definition(g, v):
+    return any(all(s is None or s == t for s, t in zip(m.symbols, v.symbols))
+               for m in g)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 5), st.integers(1, 3), st.data())
+def test_the_member_index_tracks_each_add(n, k, data):
+    # after every add, implies and count_exact (which read the index
+    # that add keeps) agree with their definitions on the members so far
+    alphabet = "abc"[:k]
+    cube = st.builds(Monomial, st.tuples(
+        *[st.sampled_from((None,) + tuple(alphabet))] * n))
+    members = data.draw(st.lists(cube, max_size=12, unique=True))
+    probes = data.draw(st.lists(cube, min_size=1, max_size=8))
+    g, union = MonomialSet(n, ()), set()
+    for m in members:
+        g.add(m)
+        union.update(m.expand(alphabet))
+        for v in probes:
+            assert g.implies(v) == _implies_by_definition(g, v)
+        assert g.count_exact(alphabet) == len(union)
+
+
 def test_count_exact_cap_on_giant_union(monkeypatch):
     # three overlapping families whose walk needs more states than the cap
     members = tuple(mono(6, {1: "a", 2: a, 3: b, 4: c})

@@ -112,6 +112,24 @@ def cubes(draw, alphabet):
     return Monomial(tuple(draw(st.sampled_from(choices)) for _ in range(n)))
 
 
+@settings(max_examples=200)
+@given(data=st.data())
+def test_a_query_steps_the_index_to_the_trace_verdict(data):
+    machine = data.draw(machines())
+    sul = MachineSafetyQuery(machine)
+    seqs = data.draw(st.lists(st.lists(st.sampled_from(machine.inputs),
+                                       max_size=8), min_size=1, max_size=10))
+    for seq in seqs:
+        assert sul.is_safe(seq) == machine.trace(seq).safe
+    assert sul.query_count == len(seqs)
+    unknown = data.draw(st.text(min_size=1, max_size=3).filter(
+        lambda sym: sym not in machine.inputs))
+    seq = data.draw(st.permutations([*seqs[0], unknown]))
+    with pytest.raises(ValidationError, match="symbols not in alphabet"):
+        sul.is_safe(seq)
+    assert sul.query_count == len(seqs)
+
+
 @settings(max_examples=400)
 @given(data=st.data())
 def test_machine_answer_matches_the_expansion_loop(data):
