@@ -156,7 +156,7 @@ class MonomialSet:
         return iter(self.monomials)
 
     def covers(self, seq: Sequence[str]) -> bool:
-        return self.implies(Monomial.from_sequence(seq))
+        return any(m.covers(seq) for m in self.monomials)
 
     def implies(self, v: Monomial) -> bool:
         """True iff some member's bound positions are all bound alike in v.
