@@ -264,3 +264,15 @@ def test_long_horizon_csv_matches_the_golden_file():
                      model_name="alks_with", sample_budget=1000, seed=7)
     golden = Path(__file__).parent / "golden" / "alks_with_n12_seed7.csv"
     assert reports_to_csv([report]) == golden.read_text(encoding="utf-8")
+
+
+def test_sizing_mode_csv_matches_the_golden_file():
+    # two doubling runs (5 and 6 rounds) and one d_bound run, frozen;
+    # pins the returned round's budget, learner, baseline and census
+    runs = [("alks_without", 3, 0.9, None), ("alks_with", 5, 0.8, None),
+            ("alks_without", 3, 0.95, 17)]
+    reports = [analyze(BUNDLED[name](), horizon=n, model_name=name,
+                       target_confidence=confidence, d_bound=d_bound, seed=7)
+               for name, n, confidence, d_bound in runs]
+    golden = Path(__file__).parent / "golden" / "sizing_seed7.csv"
+    assert reports_to_csv(reports) == golden.read_text(encoding="utf-8")
