@@ -174,7 +174,10 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
     budget from the bound, which needs the covered-count's magnitude up
     front: pass ``d_bound`` as an upper estimate, or leave it out to let
     the budget be doubled until the achieved confidence reaches the
-    target (at most ``MAX_CONFIDENCE_ROUNDS`` runs).
+    target (at most ``MAX_CONFIDENCE_ROUNDS`` rounds). A doubling round
+    re-runs only the learner and the bound; the baseline, the census and
+    the confidence are the returned round's own, so over the rounds the
+    chances that some round's claim is wrong add up (union bound).
     """
     if isinstance(target, MealyMachine):
         machine: MealyMachine | None = target
@@ -191,10 +194,23 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
     if (sample_budget is None) == (target_confidence is None):
         raise ValidationError(
             "exactly one of sample_budget / target_confidence must be given")
+    if d_bound is not None and target_confidence is None:
+        raise ValidationError("d_bound is only used with target_confidence")
     alphabet = sul.input_alphabet
     total = len(alphabet) ** horizon
 
-    def run(budget: int, label: str) -> AnalysisReport:
+    if sample_budget is not None:
+        budgets = [(sample_budget, "main")]
+    elif d_bound is not None:
+        budgets = [(required_samples(rate_for_confidence(target_confidence),
+                                     d_bound), "main")]
+    else:
+        # No covered-count bound given: double the budget until the
+        # achieved confidence catches up with the target.
+        base = required_samples(rate_for_confidence(target_confidence), 0)
+        budgets = [(base * 2 ** round_no, f"round{round_no}")
+                   for round_no in range(MAX_CONFIDENCE_ROUNDS)]
+    for budget, label in budgets:
         cfg = LearnerConfig(
             horizon=horizon, sample_budget=budget,
             rng_seed=derive_seed(seed, f"learner:{label}"),
@@ -204,55 +220,42 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
         exact, used, upper, clipped = _count_exact_or_fallback(
             learned, alphabet, formula, total)
         bound = solve_confidence(budget, used)
-        baseline = monte_carlo(sul, horizon, budget,
-                               derive_seed(seed, f"monte-carlo:{label}"))
-        exact_paths = exact_prob = None
-        if machine is not None:
-            census = exact_count_dp(machine, horizon)
-            exact_paths, exact_prob = census.safe_paths, census.probability
-        return AnalysisReport(
-            format_version=FORMAT_VERSION,
-            model_name=model_name,
-            horizon=horizon,
-            alphabet_size=len(alphabet),
-            total_sequences=total,
-            samples=budget,
-            covered_formula=formula,
-            covered_exact=exact,
-            covered_used=used,
-            covered_is_upper_bound=upper,
-            probability_clipped=clipped,
-            learned_probability=safety_probability(used, len(alphabet),
-                                                   horizon),
-            baseline_estimate=baseline.estimate,
-            baseline_std_error=baseline.std_error,
-            exact_safe_paths=exact_paths,
-            exact_probability=exact_prob,
-            confidence=bound.confidence,
-            inverse_error=bound.inverse_error,
-            seed=seed,
-            oracle_semantics=oracle_semantics,
-            stats=stats,
-        )
-
-    if sample_budget is not None:
-        return run(sample_budget, "main")
-
-    rate = rate_for_confidence(target_confidence)
-    if d_bound is not None:
-        return run(required_samples(rate, d_bound), "main")
-    # No covered-count bound given: double the budget until the achieved
-    # confidence catches up with the target.
-    budget = required_samples(rate, 0)
-    for round_no in range(MAX_CONFIDENCE_ROUNDS):
-        report = run(budget, f"round{round_no}")
-        if report.confidence >= target_confidence:
-            return report
-        budget *= 2
-    raise ResourceCapError(
-        f"confidence {target_confidence} not reached within "
-        f"{MAX_CONFIDENCE_ROUNDS} doubling rounds (budget reached "
-        f"{budget}); pass d_bound or lower the target")
+        if label == "main" or bound.confidence >= target_confidence:
+            break
+    else:
+        raise ResourceCapError(
+            f"confidence {target_confidence} not reached within "
+            f"{MAX_CONFIDENCE_ROUNDS} doubling rounds (budget reached "
+            f"{budget}); pass d_bound or lower the target")
+    baseline = monte_carlo(sul, horizon, budget,
+                           derive_seed(seed, f"monte-carlo:{label}"))
+    exact_paths = exact_prob = None
+    if machine is not None:
+        census = exact_count_dp(machine, horizon)
+        exact_paths, exact_prob = census.safe_paths, census.probability
+    return AnalysisReport(
+        format_version=FORMAT_VERSION,
+        model_name=model_name,
+        horizon=horizon,
+        alphabet_size=len(alphabet),
+        total_sequences=total,
+        samples=budget,
+        covered_formula=formula,
+        covered_exact=exact,
+        covered_used=used,
+        covered_is_upper_bound=upper,
+        probability_clipped=clipped,
+        learned_probability=safety_probability(used, len(alphabet), horizon),
+        baseline_estimate=baseline.estimate,
+        baseline_std_error=baseline.std_error,
+        exact_safe_paths=exact_paths,
+        exact_probability=exact_prob,
+        confidence=bound.confidence,
+        inverse_error=bound.inverse_error,
+        seed=seed,
+        oracle_semantics=oracle_semantics,
+        stats=stats,
+    )
 
 
 @dataclass(frozen=True)

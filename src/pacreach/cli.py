@@ -73,7 +73,7 @@ def _open_target(args):
     config = BlackBoxConfig(
         command=args.cmd, address=args.endpoint, unsafe_outputs=tokens,
         timeout=args.timeout, max_retries=args.retries)
-    name = args.endpoint or args.cmd.split()[0]
+    name = args.endpoint or config.argv[0]
     with RemoteSafetyQuery(config) as remote:
         yield remote, None, name
 

@@ -67,8 +67,9 @@ def parse_host_port(address: str) -> tuple[str, int]:
 class BlackBoxConfig:
     """How to reach a black box and how to read its verdicts.
 
-    Exactly one of ``command`` (a subprocess invocation) and ``address``
-    (a HOST:PORT string) must be set.
+    Exactly one of ``command`` (a subprocess invocation, split with
+    shell quoting rules into ``argv``) and ``address`` (a HOST:PORT
+    string) must be set.
     """
 
     command: str | None = None
@@ -76,11 +77,21 @@ class BlackBoxConfig:
     unsafe_outputs: frozenset[str] = field(default_factory=frozenset)
     timeout: float = 5.0
     max_retries: int = 2
+    argv: tuple[str, ...] = field(init=False, default=())
 
     def __post_init__(self):
         if (self.command is None) == (self.address is None):
             raise ValidationError(
                 "exactly one of command / address must be given")
+        if self.command is not None:
+            try:
+                argv = tuple(shlex.split(self.command))
+            except ValueError as exc:
+                raise ValidationError(
+                    f"cannot parse command {self.command!r}: {exc}") from exc
+            if not argv:
+                raise ValidationError("command must name a program")
+            object.__setattr__(self, "argv", argv)
         if not self.unsafe_outputs:
             raise ValidationError(
                 "unsafe_outputs must be non-empty: the verdict is computed "
@@ -149,10 +160,13 @@ class _Channel:
 
 def _connect(config: BlackBoxConfig, counters) -> _Channel:
     if config.command is not None:
-        proc = subprocess.Popen(
-            shlex.split(config.command),
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL)
+        try:
+            proc = subprocess.Popen(
+                config.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL)
+        except OSError as exc:
+            raise TransportError(f"cannot start {config.command}: {exc}") \
+                from exc
         assert proc.stdin is not None and proc.stdout is not None
         stdin, stdout = proc.stdin, proc.stdout
 

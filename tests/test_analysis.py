@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from pacreach import analysis
 from pacreach.analysis import (CSV_COLUMNS, REFERENCE_RESULTS, AnalysisReport,
                                TableReproduction, _count_exact_or_fallback,
                                analyze, reports_to_csv, reports_to_json_lines,
@@ -13,6 +14,7 @@ from pacreach.analysis import (CSV_COLUMNS, REFERENCE_RESULTS, AnalysisReport,
 from pacreach.bounds import required_samples, safety_probability, \
     solve_confidence
 from pacreach.errors import ResourceCapError, ValidationError
+from pacreach.learner import LearnerConfig, learn_safe_set
 from pacreach.models import BUNDLED, build_alks
 from pacreach.monomials import Monomial, MonomialSet
 from pacreach.seeding import derive_seed
@@ -86,6 +88,11 @@ def test_mode_validation():
         analyze(42, horizon=3, sample_budget=10)
 
 
+def test_d_bound_without_target_confidence_is_rejected():
+    with pytest.raises(ValidationError, match="d_bound"):
+        analyze(build_alks(False), horizon=3, sample_budget=50, d_bound=5)
+
+
 def test_target_confidence_with_a_covered_bound_sizes_the_budget():
     rate = 1.0 / (1.0 - 0.95)
     r = analyze(build_alks(False), horizon=3, target_confidence=0.95,
@@ -99,6 +106,42 @@ def test_target_confidence_without_a_bound_doubles_until_reached():
     assert r.confidence >= 0.9
     base = required_samples(1.0 / (1.0 - 0.9), 0)
     assert r.samples in {base * 2 ** k for k in range(8)}
+
+
+def test_doubling_runs_the_baseline_and_census_once(monkeypatch):
+    calls = {"learn_safe_set": 0, "monte_carlo": 0, "exact_count_dp": 0}
+
+    def counted(name):
+        original = getattr(analysis, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(analysis, name, counted(name))
+    analyze(build_alks(False), horizon=3, target_confidence=0.9, seed=7)
+    assert calls == {"learn_safe_set": 5, "monte_carlo": 1,
+                     "exact_count_dp": 1}
+
+
+def test_doubling_target_answers_the_learner_rounds_and_one_baseline():
+    # every round's learner queries, re-run on a fresh target with the
+    # round's seed, plus the returned round's Monte Carlo samples
+    target = MachineSafetyQuery(build_alks(False))
+    r = analyze(target, horizon=3, target_confidence=0.9, seed=7)
+    base = required_samples(1.0 / (1.0 - 0.9), 0)
+    rounds = (r.samples // base).bit_length()
+    assert r.samples == base * 2 ** (rounds - 1) and rounds > 1
+    learner_queries = 0
+    for i in range(rounds):
+        fresh = MachineSafetyQuery(build_alks(False))
+        learn_safe_set(fresh, LearnerConfig(
+            horizon=3, sample_budget=base * 2 ** i,
+            rng_seed=derive_seed(7, f"learner:round{i}")))
+        learner_queries += fresh.query_count
+    assert target.query_count == learner_queries + r.samples
 
 
 def test_target_confidence_doubling_eventually_gives_up(monkeypatch):

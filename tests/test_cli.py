@@ -121,6 +121,36 @@ def test_analyze_requires_exactly_one_mode(capsys):
     assert "exactly one" in err
 
 
+def test_analyze_rejects_a_d_bound_in_budget_mode(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--model", "alks_without",
+                             "-n", "3", "-L", "50", "--d-bound", "5")
+    assert code == 2
+    assert out == ""
+    assert "d_bound" in err
+
+
+@pytest.mark.parametrize("subcommand", ["analyze", "estimate"])
+@pytest.mark.parametrize("command, code", [
+    pytest.param(" ", 2, id="no-program"),
+    pytest.param("a 'b", 2, id="unbalanced-quote"),
+    pytest.param("{missing}", 3, id="missing"),
+    pytest.param("{not_executable}", 3, id="not-executable"),
+])
+def test_a_cmd_that_cannot_be_parsed_or_started_exits_cleanly(
+        tmp_path, capsys, subcommand, command, code):
+    not_executable = tmp_path / "not-executable"
+    not_executable.write_text("ALPHABET\n", encoding="utf-8")
+    not_executable.chmod(0o644)
+    command = command.format(missing=tmp_path / "missing",
+                             not_executable=not_executable)
+    got, _, err = run_cli(capsys, subcommand, "--cmd", command,
+                          "--unsafe-outputs", "alarm", "-n", "3",
+                          "-L", "10", "--retries", "0")
+    assert got == code
+    assert err.startswith("error:" if code == 2 else "transport error:")
+    assert "Traceback" not in err
+
+
 def test_exit_code_for_unknown_model(capsys):
     code, _, err = run_cli(capsys, "analyze", "--model", "nope.machine",
                            "-n", "3", "-L", "10")
