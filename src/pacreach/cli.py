@@ -10,8 +10,9 @@ Subcommands map one-to-one onto the library engines:
     reproduce-table  re-run the eight published lane-keeping rows and diff
     serve-model      answer the wire protocol for a model file
 
-Exit codes: 0 success, 2 validation/parse error, 3 transport error,
-4 resource cap exceeded.
+Exit codes: 0 success, 2 validation/parse error (including an ``--out``
+file that cannot be written), 3 transport error, 4 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ def _open_target(args):
         raise ValidationError(
             "exactly one of --model / --endpoint / --cmd is required")
     if args.model:
+        if args.unsafe_outputs:
+            raise ValidationError(
+                "--unsafe-outputs applies only to --endpoint / --cmd")
         machine = resolve_model(args.model)
         yield machine, machine, Path(args.model).stem
         return
@@ -80,7 +84,11 @@ def _open_target(args):
 
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -172,6 +180,8 @@ def _cmd_reproduce_table(args) -> int:
 
 
 def _cmd_serve_model(args) -> int:
+    if args.max_sessions is not None and not args.listen:
+        raise ValidationError("--max-sessions applies only to --listen")
     machine = resolve_model(args.model)
     if args.listen:
         host, port = parse_host_port(args.listen)
@@ -255,10 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve-model",
                        help="serve a model file over the wire protocol")
     p.add_argument("--model", required=True, metavar="PATH")
-    p.add_argument("--stdio", action="store_true",
-                   help="serve on stdio (the default)")
-    p.add_argument("--listen", metavar="HOST:PORT",
-                   help="serve on TCP instead of stdio")
+    transport = p.add_mutually_exclusive_group()
+    transport.add_argument("--stdio", action="store_true",
+                           help="serve on stdio (the default)")
+    transport.add_argument("--listen", metavar="HOST:PORT",
+                           help="serve on TCP instead of stdio")
     p.add_argument("--max-sessions", type=int,
                    help="exit after serving this many connections")
     p.set_defaults(func=_cmd_serve_model)

@@ -1,22 +1,17 @@
 """Bundled case-study machines and generators for test corpora.
 
 Each bundled machine is defined once, by its ``.machine`` file under
-``data/``. The two lane-keeping variants differ only in the four
-transitions leaving the alarm state: without assistance the alarm state
-is absorbing, with assistance every input steers back to centre in one
-step. The coffee machine is a best-effort reconstruction (see the
-README caveat): its behaviour on length-2 sequences is pinned down, its
-longer-horizon counts are reported rather than asserted.
-
-``BUNDLED`` and ``build_alks`` always parse the packaged files.
-``PACREACH_MODEL_DIR`` overrides where bundled names resolve only for
-``bundled_path`` and ``resolve_model``, which the CLI and the wire
-server use.
+``data/``, and those files are the list of bundled names. The two
+lane-keeping variants differ only in the four transitions leaving the
+alarm state: without assistance the alarm state is absorbing, with
+assistance every input steers back to centre in one step. The coffee
+machine is a best-effort reconstruction (see the README caveat): its
+behaviour on length-2 sequences is pinned down, its longer-horizon
+counts are reported rather than asserted.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from functools import partial
 from importlib import resources
@@ -25,8 +20,7 @@ from pathlib import Path
 from .errors import ValidationError
 from .mealy import MealyMachine, load_model
 
-__all__ = ["build_alks", "random_machine", "BUNDLED", "bundled_path",
-           "resolve_model"]
+__all__ = ["build_alks", "random_machine", "BUNDLED", "resolve_model"]
 
 
 def random_machine(num_states: int, alphabet_size: int,
@@ -70,12 +64,11 @@ def random_machine(num_states: int, alphabet_size: int,
 
 # -- bundled files -------------------------------------------------------------
 
-def _packaged_path(fname: str) -> Path:
-    return Path(str(resources.files(__package__).joinpath("data", fname)))
+_DATA = Path(str(resources.files(__package__).joinpath("data")))
 
-
-def _load_packaged(name: str) -> MealyMachine:
-    return load_model(_packaged_path(name + ".machine"))
+# One loader per packaged data/*.machine file, keyed by the file's stem.
+BUNDLED = {path.stem: partial(load_model, path)
+           for path in sorted(_DATA.glob("*.machine"))}
 
 
 def build_alks(with_assist: bool) -> MealyMachine:
@@ -85,39 +78,17 @@ def build_alks(with_assist: bool) -> MealyMachine:
     assistance on, any input recovers from A back to C; with it off, A
     absorbs.
     """
-    return _load_packaged("alks_with" if with_assist else "alks_without")
-
-
-BUNDLED = {name: partial(_load_packaged, name)
-           for name in ("alks_without", "alks_with", "coffee", "all_safe",
-                        "none_safe")}
-
-MODEL_DIR_ENV = "PACREACH_MODEL_DIR"
-
-
-def bundled_path(name: str) -> Path:
-    """Filesystem path of a bundled model file.
-
-    Honours the model-directory override from the environment before
-    falling back to the files installed with the package.
-    """
-    fname = name if name.endswith(".machine") else name + ".machine"
-    override = os.environ.get(MODEL_DIR_ENV)
-    if override:
-        candidate = Path(override) / fname
-        if candidate.exists():
-            return candidate
-    return _packaged_path(fname)
+    return BUNDLED["alks_with" if with_assist else "alks_without"]()
 
 
 def resolve_model(name_or_path: str) -> MealyMachine:
-    """Load a model from a path, or from the bundle by (file)name."""
+    """Load a model from an existing path, else the bundled model of that
+    name (with or without ``.machine``)."""
     p = Path(name_or_path)
     if p.exists():
         return load_model(p)
-    if p.parent == Path("."):
-        candidate = bundled_path(p.name)
-        if candidate.exists():
-            return load_model(candidate)
-    raise ValidationError(
-        f"no such model file or bundled model: {name_or_path}")
+    loader = BUNDLED.get(name_or_path.removesuffix(".machine"))
+    if loader is None:
+        raise ValidationError(
+            f"no such model file or bundled model: {name_or_path}")
+    return loader()

@@ -17,11 +17,14 @@ sent once the previous one is answered. That keeps the client from
 blocking in a write while the server blocks writing replies nobody
 reads. The verdict is the FINAL output token checked against the
 configured unsafe set. Anything else coming back, a timeout or a closed
-pipe anywhere in the batch is a transport error: the client drops the
-connection, so no stale reply reaches the next query, and retries the
-whole sequence on a fresh connection a bounded number of times before
-it gives up loudly. It never invents a verdict: the learning guarantee
-assumes every answered query is answered correctly.
+pipe anywhere in the batch is a transport error, and the client drops
+the connection, so no stale reply reaches the next query. A lost
+connection (a timeout, a closed pipe, a failed read or write, a failed
+TCP connect) is retried on a fresh connection a bounded number of times
+before the client gives up loudly. A peer that breaks the protocol, or
+a command that cannot be started, fails at once: a fresh connection
+would meet the same fault. The client never invents a verdict: the
+learning guarantee assumes every answered query is answered correctly.
 
 The server half drives a MealyMachine over the same protocol so the
 black-box path can be exercised against a known model.
@@ -102,6 +105,10 @@ class BlackBoxConfig:
             raise ValidationError("max_retries must be >= 0")
 
 
+class _ConnectionLost(TransportError):
+    """A connection fault that a fresh connection may mend."""
+
+
 class _Channel:
     """One live connection with line-oriented, deadline-bounded reads.
 
@@ -123,7 +130,7 @@ class _Channel:
         try:
             self._send(data)
         except (BrokenPipeError, ConnectionError, OSError) as exc:
-            raise TransportError(f"write failed: {exc}") from exc
+            raise _ConnectionLost(f"write failed: {exc}") from exc
         self._counters.writes += 1
         self._counters.bytes_sent += len(data)
 
@@ -132,15 +139,15 @@ class _Channel:
         while b"\n" not in self._buf:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise TransportError(f"no response within {timeout:g}s")
+                raise _ConnectionLost(f"no response within {timeout:g}s")
             if not self._sel.select(remaining):
                 continue
             try:
                 chunk = self._recv(65536)
             except (ConnectionError, OSError) as exc:
-                raise TransportError(f"read failed: {exc}") from exc
+                raise _ConnectionLost(f"read failed: {exc}") from exc
             if not chunk:
-                raise TransportError("connection closed by peer")
+                raise _ConnectionLost("connection closed by peer")
             self._counters.bytes_received += len(chunk)
             self._buf += chunk
         line, _, self._buf = self._buf.partition(b"\n")
@@ -197,7 +204,7 @@ def _connect(config: BlackBoxConfig, counters) -> _Channel:
     try:
         sock = socket.create_connection((host, port), timeout=config.timeout)
     except OSError as exc:
-        raise TransportError(f"cannot connect to {config.address}: {exc}") \
+        raise _ConnectionLost(f"cannot connect to {config.address}: {exc}") \
             from exc
     sock.setblocking(True)
     quickack = getattr(socket, "TCP_QUICKACK", None)  # Linux only
@@ -219,7 +226,7 @@ class RemoteSafetyQuery(SafetyQuery):
 
     Besides ``query_count`` it counts how the transport behaved:
     ``requests`` (request lines sent), ``writes``, ``retries`` (attempts
-    repeated after a transport error), ``reconnects`` (connections opened
+    repeated after a lost connection), ``reconnects`` (connections opened
     after the first), ``bytes_sent`` and ``bytes_received``.
     """
 
@@ -289,10 +296,12 @@ class RemoteSafetyQuery(SafetyQuery):
         self.close()
 
     def _with_retries(self, attempt):
-        """Run ``attempt`` on a live channel, reconnecting on failure.
+        """Run ``attempt`` on a live channel, reconnecting on a lost
+        connection.
 
         A failed attempt drops the channel, with whatever replies are
-        still in flight on it, and the next attempt starts afresh.
+        still in flight on it. Only a lost connection is tried again,
+        afresh; any other transport error is raised at once.
         """
         failures = []
         for tries in range(self.config.max_retries + 1):
@@ -302,8 +311,10 @@ class RemoteSafetyQuery(SafetyQuery):
                 self._open()
                 return attempt()
             except TransportError as exc:
-                failures.append(str(exc))
                 self.close()
+                if not isinstance(exc, _ConnectionLost):
+                    raise
+                failures.append(str(exc))
         raise TransportError(
             f"giving up after {len(failures)} attempts: {failures[-1]}")
 

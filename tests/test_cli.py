@@ -129,6 +129,26 @@ def test_analyze_rejects_a_d_bound_in_budget_mode(capsys):
     assert "d_bound" in err
 
 
+def test_analyze_rejects_unsafe_outputs_with_a_model(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--model", "alks_without",
+                             "--unsafe-outputs", "x", "-n", "3", "-L", "10")
+    assert code == 2
+    assert out == ""
+    assert "--unsafe-outputs" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", "alks_without", "-n", "3", "-L", "10"],
+    ["reproduce-table", "-L", "50"],
+], ids=lambda argv: argv[0])
+def test_an_out_file_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
+    out_file = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 2
+    assert str(out_file) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("subcommand", ["analyze", "estimate"])
 @pytest.mark.parametrize("command, code", [
     pytest.param(" ", 2, id="no-program"),
@@ -149,6 +169,25 @@ def test_a_cmd_that_cannot_be_parsed_or_started_exits_cleanly(
     assert got == code
     assert err.startswith("error:" if code == 2 else "transport error:")
     assert "Traceback" not in err
+
+
+def test_a_cmd_that_cannot_be_started_is_tried_once(tmp_path, capsys,
+                                                   monkeypatch):
+    starts = []
+    popen = subprocess.Popen
+
+    def counting_popen(*args, **kwargs):
+        starts.append(args)
+        return popen(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", counting_popen)
+    code, _, err = run_cli(capsys, "analyze", "--cmd",
+                           str(tmp_path / "missing"),
+                           "--unsafe-outputs", "alarm", "--retries", "2",
+                           "-n", "3", "-L", "10")
+    assert code == 3
+    assert err.startswith("transport error: cannot start")
+    assert len(starts) == 1
 
 
 def test_exit_code_for_unknown_model(capsys):
@@ -233,6 +272,31 @@ def test_no_cmd_child_outlives_a_transport_error(tmp_path, capsys):
     assert code == 3
     assert "giving up after 3 attempts" in err
     assert len(pid_file.read_text().split()) == 3
+    assert_children_gone(pid_file)
+
+
+# A --cmd child that appends its pid to a file and answers every request
+# with an ALPHABET reply that repeats a symbol.
+BAD_ALPHABET_CHILD = """\
+import os, sys
+with open(sys.argv[1], "a") as fh:
+    fh.write(f"{os.getpid()}\\n")
+for line in sys.stdin:
+    print("OK a a", flush=True)
+"""
+
+
+def test_a_peer_that_breaks_the_protocol_is_started_once(tmp_path, capsys):
+    # a fresh child would break it again, so the client does not retry
+    pid_file = tmp_path / "child.pid"
+    command = shlex.join([sys.executable, "-c", BAD_ALPHABET_CHILD,
+                          str(pid_file)])
+    code, _, err = run_cli(capsys, "analyze", "--cmd", command,
+                           "--unsafe-outputs", "alarm", "--retries", "2",
+                           "-n", "3", "-L", "10")
+    assert code == 3
+    assert "bad ALPHABET reply: OK a a" in err
+    assert len(pid_file.read_text().split()) == 1
     assert_children_gone(pid_file)
 
 
@@ -419,6 +483,25 @@ def test_serve_model_rejects_a_malformed_listen_address(capsys):
                            "--listen", "nonsense")
     assert code == 2
     assert "HOST:PORT" in err
+
+
+def test_serve_model_rejects_stdio_with_listen():
+    # in a child with a deadline: a server that took both would listen
+    proc = subprocess.run(
+        [sys.executable, "-m", "pacreach.cli", "serve-model",
+         "--model", "alks_without", "--stdio", "--listen", "127.0.0.1:0"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "not allowed with" in proc.stderr
+
+
+def test_serve_model_rejects_max_sessions_without_listen(capsys):
+    code, out, err = run_cli(capsys, "serve-model", "--model",
+                             "alks_without", "--max-sessions", "1")
+    assert code == 2
+    assert out == ""
+    assert "--max-sessions" in err
 
 
 def test_help_via_module_invocation():

@@ -123,8 +123,9 @@ def test_parse_minimal():
 
 
 def test_parse_shipped_file_matches_builder(tmp_path):
-    from pacreach.models import bundled_path
-    text = bundled_path("alks_without").read_text()
+    from importlib import resources
+    packaged = resources.files("pacreach") / "data" / "alks_without.machine"
+    text = packaged.read_text(encoding="utf-8")
     m = parse_model(text)
     assert len(m.states) == 4
     assert m.inputs == ("l", "r", "s")

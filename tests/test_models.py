@@ -1,23 +1,38 @@
 import itertools
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from pacreach.baselines import exact_count_dp
 from pacreach.errors import ValidationError
 from pacreach.mealy import load_model, serialize_model
-from pacreach.models import (BUNDLED, build_alks, bundled_path,
-                             random_machine, resolve_model)
+from pacreach.models import BUNDLED, build_alks, random_machine, resolve_model
+
+PACKAGED = resources.files("pacreach").joinpath("data")
+SHIPPED = sorted(entry.name for entry in PACKAGED.iterdir()
+                 if entry.name.endswith(".machine"))
 
 
-@pytest.mark.parametrize("name", sorted(BUNDLED))
-def test_bundled_loaders_ignore_the_model_dir_override(name, tmp_path,
+def packaged_path(fname):
+    return Path(str(PACKAGED.joinpath(fname)))
+
+
+@pytest.mark.parametrize("fname", SHIPPED)
+def test_a_bundled_name_always_means_its_packaged_file(fname, tmp_path,
                                                        monkeypatch):
-    packaged = load_model(bundled_path(name))
+    stem = fname.removesuffix(".machine")
+    assert set(BUNDLED) == {"alks_with", "alks_without", "all_safe",
+                            "coffee", "none_safe"}
+    assert stem in BUNDLED
+    packaged = BUNDLED[stem]()
+    assert packaged == load_model(packaged_path(fname))
+    assert resolve_model(stem) == resolve_model(fname) == packaged
+    # no environment variable can point a bundled name elsewhere
     decoy = random_machine(1, 2, 0.0, seed=0)
-    (tmp_path / f"{name}.machine").write_text(serialize_model(decoy))
+    (tmp_path / fname).write_text(serialize_model(decoy))
     monkeypatch.setenv("PACREACH_MODEL_DIR", str(tmp_path))
-    assert resolve_model(name) == decoy
-    assert BUNDLED[name]() == packaged
+    assert resolve_model(stem) == packaged
 
 
 def test_lane_keeping_variants_differ_only_at_the_alarm_state():
@@ -116,20 +131,10 @@ def test_random_machine_validation():
 def test_resolve_model_accepts_paths_and_bare_names(tmp_path):
     by_name = resolve_model("alks_without")
     by_file = resolve_model("alks_without.machine")
-    by_path = resolve_model(str(bundled_path("alks_without")))
+    by_path = resolve_model(str(packaged_path("alks_without.machine")))
     assert by_name == by_file == by_path == build_alks(False)
 
 
 def test_resolve_model_rejects_unknown_names():
     with pytest.raises(ValidationError, match="no such model"):
         resolve_model("does_not_exist")
-
-
-def test_model_dir_override(tmp_path, monkeypatch):
-    # an overriding directory wins for names it contains and falls back
-    # to the packaged file otherwise
-    custom = random_machine(1, 2, 0.0, seed=0)
-    (tmp_path / "coffee.machine").write_text(serialize_model(custom))
-    monkeypatch.setenv("PACREACH_MODEL_DIR", str(tmp_path))
-    assert resolve_model("coffee") == custom
-    assert resolve_model("alks_with") == build_alks(True)

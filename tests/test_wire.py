@@ -384,6 +384,8 @@ def test_counters_on_one_session():
 
 
 def test_a_bad_reply_mid_batch_is_transport_error_once_retries_run_out():
+    # a protocol violation is not retried: a fresh connection to the same
+    # peer would break the protocol again
     def bad_third_step(conn, session, replies):
         replies[3] = b"WAT\n"
         conn.sendall(b"".join(replies))
@@ -393,20 +395,22 @@ def test_a_bad_reply_mid_batch_is_transport_error_once_retries_run_out():
                                             max_retries=2)) as remote:
             with pytest.raises(TransportError, match="bad STEP reply: WAT"):
                 remote.is_safe(("s",) * 5)
-            assert (remote.retries, remote.reconnects) == (2, 2)
+            assert (remote.retries, remote.reconnects) == (0, 0)
             assert remote.query_count == 0
 
 
 def test_a_retry_after_a_bad_reply_mid_batch_leaves_no_stale_reply():
-    # the first session's third STEP reply is bad and the replies after
-    # it still arrive; they must go with the dropped connection
-    def bad_on_first_session(conn, session, replies):
+    # the first session hangs up mid-batch, after three replies and half
+    # of the fourth; that half must go with the dropped connection
+    def drop_on_first_session(conn, session, replies):
         if session == 0:
-            replies[3] = b"OUT\n"
-        conn.sendall(b"".join(replies))
+            conn.sendall(b"".join(replies[:3]) + replies[3][:3])
+            conn.shutdown(socket.SHUT_RDWR)
+        else:
+            conn.sendall(b"".join(replies))
 
     local = MachineSafetyQuery(build_alks(False))
-    with _FakePeer(5, bad_on_first_session) as peer:
+    with _FakePeer(5, drop_on_first_session) as peer:
         with RemoteSafetyQuery(_peer_config(peer, timeout=2.0,
                                             max_retries=2)) as remote:
             first, second = ("l",) * 5, ("s", "s", "l", "r", "s")
@@ -425,12 +429,12 @@ def test_a_reply_nobody_asked_for_fails_the_query_it_follows():
     local = MachineSafetyQuery(build_alks(False))
     with _FakePeer(3, extra_reply_on_first_session) as peer:
         with RemoteSafetyQuery(_peer_config(peer, max_retries=1)) as remote:
-            assert remote.is_safe(("l", "l", "s")) == \
-                local.is_safe(("l", "l", "s"))
-            assert (remote.retries, remote.reconnects) == (1, 1)
+            with pytest.raises(TransportError, match="unrequested bytes"):
+                remote.is_safe(("l", "l", "s"))
+            assert (remote.retries, remote.reconnects) == (0, 0)
             assert remote.is_safe(("s", "l", "l")) == \
                 local.is_safe(("s", "l", "l"))
-            assert remote.retries == 1
+            assert (remote.retries, remote.reconnects) == (0, 1)
 
 
 def _one_byte_at_a_time(conn, session, replies):
