@@ -49,10 +49,12 @@ def _add_target_flags(p: argparse.ArgumentParser):
     p.add_argument("--unsafe-outputs", metavar="TOK[,TOK...]",
                    help="output tokens classified unsafe "
                         "(required with --endpoint/--cmd)")
-    p.add_argument("--timeout", type=float, default=5.0,
-                   help="per-query timeout in seconds for black boxes")
-    p.add_argument("--retries", type=int, default=2,
-                   help="reconnect attempts for black boxes")
+    p.add_argument("--timeout", type=float,
+                   help="per-query timeout in seconds for --endpoint/--cmd "
+                        f"(default {BlackBoxConfig.timeout:g})")
+    p.add_argument("--retries", type=int,
+                   help="reconnect attempts for --endpoint/--cmd "
+                        f"(default {BlackBoxConfig.max_retries})")
 
 
 @contextlib.contextmanager
@@ -66,20 +68,37 @@ def _open_target(args):
         raise ValidationError(
             "exactly one of --model / --endpoint / --cmd is required")
     if args.model:
-        if args.unsafe_outputs:
-            raise ValidationError(
-                "--unsafe-outputs applies only to --endpoint / --cmd")
+        for flag, value in (("--unsafe-outputs", args.unsafe_outputs),
+                            ("--timeout", args.timeout),
+                            ("--retries", args.retries)):
+            if value is not None:
+                raise ValidationError(
+                    f"{flag} applies only to --endpoint / --cmd")
         machine = resolve_model(args.model)
         yield machine, machine, Path(args.model).stem
         return
     tokens = frozenset(
         t for t in (args.unsafe_outputs or "").split(",") if t)
+    # a flag left out keeps BlackBoxConfig's default
+    given = {key: value for key, value in (("timeout", args.timeout),
+                                           ("max_retries", args.retries))
+             if value is not None}
     config = BlackBoxConfig(
         command=args.cmd, address=args.endpoint, unsafe_outputs=tokens,
-        timeout=args.timeout, max_retries=args.retries)
+        **given)
     name = args.endpoint or config.argv[0]
     with RemoteSafetyQuery(config) as remote:
         yield remote, None, name
+
+
+def _check_out(out: str | None):
+    """Fail an ``--out`` whose directory is missing before any work.
+
+    ``_emit`` still turns any later write failure into the same error.
+    """
+    if out and not Path(out).parent.is_dir():
+        raise ValidationError(
+            f"cannot write {out}: no directory {Path(out).parent}")
 
 
 def _emit(text: str, out: str | None):
@@ -113,6 +132,7 @@ def _render_report(report: analysis.AnalysisReport, fmt: str | None) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    _check_out(args.out)
     with _open_target(args) as (target, _machine, name):
         report = analysis.analyze(
             target, horizon=args.n, model_name=name,
@@ -168,6 +188,7 @@ def _cmd_confidence(args) -> int:
 
 
 def _cmd_reproduce_table(args) -> int:
+    _check_out(args.out)
     result = analysis.reproduce_table(seed=args.seed,
                                       sample_budget=args.samples)
     if args.format == "json-lines":

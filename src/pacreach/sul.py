@@ -73,11 +73,28 @@ class SafetyQuery(ABC):
         return want_all
 
     def random_input(self, n: int, rng: random.Random) -> tuple[str, ...]:
-        """n symbols drawn independently, uniformly from the alphabet."""
+        """n symbols drawn independently, uniformly from the alphabet.
+
+        Consumes the same stream as ``rng.choice(alphabet)`` called n
+        times, and returns the same symbols: each draw takes
+        ``getrandbits(k.bit_length())`` for an alphabet of k symbols and
+        draws again while the result is k or more, the steps
+        ``Random.choice`` takes, without its per-symbol call overhead.
+        """
         if n < 1:
             raise ValidationError(f"horizon must be >= 1, got {n}")
         alphabet = self.input_alphabet
-        return tuple(rng.choice(alphabet) for _ in range(n))
+        k = len(alphabet)
+        if not k:
+            raise ValidationError("input alphabet is empty")
+        bits, getrandbits = k.bit_length(), rng.getrandbits
+        seq = []
+        for _ in range(n):
+            r = getrandbits(bits)
+            while r >= k:
+                r = getrandbits(bits)
+            seq.append(alphabet[r])
+        return tuple(seq)
 
 
 class MachineSafetyQuery(SafetyQuery):
@@ -115,6 +132,9 @@ class MachineSafetyQuery(SafetyQuery):
         self._initial = number[machine.initial]
         self._safe = sum(1 << number[s] for s in machine.safe_states)
         self._unsafe = (1 << len(machine.states)) - 1 - self._safe
+        # _preimage memoised: (symbol or None, mask) -> mask, filled as
+        # the backward pass meets them, at most (|I| + 1) * 2^|S| entries
+        self._image = {}
 
     @property
     def input_alphabet(self) -> tuple[str, ...]:
@@ -125,6 +145,16 @@ class MachineSafetyQuery(SafetyQuery):
         for sym in seq:
             state = self._succ[sym][state]
         return bool(self._safe >> state & 1)
+
+    def _preimage(self, sym: str | None, mask: int) -> int:
+        """The mask of states from which ``sym`` (any symbol, for None)
+        leads into ``mask``."""
+        pred, into = self._pred[sym], 0
+        while mask:
+            low = mask & -mask
+            into |= pred[low.bit_length() - 1]
+            mask ^= low
+        return into
 
     def answer_monomial(self, candidate: Monomial, want_all: bool) -> bool:
         """The default loop's verdict and query count, without its runs.
@@ -138,12 +168,12 @@ class MachineSafetyQuery(SafetyQuery):
         # symbols[pos:] ends in a state that stops the expansion loop
         stop = [0] * (len(symbols) + 1)
         stop[-1] = self._unsafe if want_all else self._safe
+        image = self._image
         for pos in range(len(symbols) - 1, -1, -1):
-            pred, after, into = self._pred[symbols[pos]], stop[pos + 1], 0
-            while after:
-                low = after & -after
-                into |= pred[low.bit_length() - 1]
-                after ^= low
+            key = (symbols[pos], stop[pos + 1])
+            into = image.get(key)
+            if into is None:
+                into = image[key] = self._preimage(*key)
             stop[pos] = into
         alphabet = self.input_alphabet
         if not stop[0] >> self._initial & 1:

@@ -149,6 +149,36 @@ def test_an_out_file_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (["analyze", "--model", "alks_without", "-n", "3", "-L", "10"],
+     "analyze"),
+    (["reproduce-table", "-L", "50"], "reproduce_table"),
+], ids=["analyze", "reproduce-table"])
+def test_a_missing_out_directory_fails_before_the_run(tmp_path, capsys,
+                                                      monkeypatch, argv,
+                                                      stage):
+    def run(*args, **kwargs):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(analysis, stage, run)
+    out_file = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_file))
+    assert code == 2
+    assert out == ""
+    assert str(out_file) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand", ["analyze", "estimate"])
+@pytest.mark.parametrize("flag", ["--timeout", "--retries"])
+def test_black_box_flags_are_rejected_with_a_model(capsys, subcommand, flag):
+    code, out, err = run_cli(capsys, subcommand, "--model", "alks_without",
+                             flag, "9", "-n", "3", "-L", "10")
+    assert code == 2
+    assert out == ""
+    assert f"{flag} applies only to --endpoint / --cmd" in err
+
+
 @pytest.mark.parametrize("subcommand", ["analyze", "estimate"])
 @pytest.mark.parametrize("command, code", [
     pytest.param(" ", 2, id="no-program"),

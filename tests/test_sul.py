@@ -90,6 +90,31 @@ def test_random_input_is_roughly_uniform():
         assert abs(freq[sym] / 100_000 - 1 / 3) < 0.02
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 13])
+def test_random_input_consumes_the_stream_of_random_choice(size):
+    # the learner's and the baseline's draws, and so every report, stay
+    # those of rng.choice on every supported Python
+    sul = MachineSafetyQuery(random_machine(1, size, 0.0, seed=0))
+    alphabet = sul.input_alphabet
+    for seed in range(20):
+        ours, twin = random.Random(seed), random.Random(seed)
+        for n in (1, 2, 3, 7, 16) * 10:
+            expected = tuple(twin.choice(alphabet) for _ in range(n))
+            assert sul.random_input(n, ours) == expected
+        assert ours.getstate() == twin.getstate()
+
+
+def test_random_input_rejects_an_empty_alphabet():
+    class NoInputs(SafetyQuery):
+        input_alphabet = ()
+
+        def _answer(self, seq):
+            return True
+
+    with pytest.raises(ValidationError, match="empty"):
+        NoInputs().random_input(3, random.Random(0))
+
+
 @st.composite
 def machines(draw):
     if draw(st.booleans()):
@@ -141,6 +166,26 @@ def test_machine_answer_matches_the_expansion_loop(data):
     verdict = fast.answer_monomial(cube, want_all)
     assert verdict == loop.answer_monomial(cube, want_all)
     assert fast.query_count == loop.query_count
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_one_machine_adapter_answers_a_run_of_cubes_like_the_loop(data):
+    # one adapter answers every cube with both verdicts wanted, so later
+    # cubes are answered from predecessor images that earlier ones cached
+    machine = data.draw(machines())
+    fast = MachineSafetyQuery(machine)
+    asked = data.draw(st.lists(cubes(machine.inputs), min_size=1,
+                               max_size=20))
+    for cube in asked:
+        for want_all in (True, False):
+            loop = LoopOnly(machine)
+            before = fast.query_count
+            verdict = fast.answer_monomial(cube, want_all)
+            assert verdict == loop.answer_monomial(cube, want_all)
+            assert fast.query_count - before == loop.query_count
+    images = (len(machine.inputs) + 1) * 2 ** len(machine.states)
+    assert len(fast._image) <= images
 
 
 @pytest.mark.parametrize("semantics", [ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL])
