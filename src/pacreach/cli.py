@@ -50,7 +50,8 @@ def _add_target_flags(p: argparse.ArgumentParser):
                    help="output tokens classified unsafe "
                         "(required with --endpoint/--cmd)")
     p.add_argument("--timeout", type=float,
-                   help="per-query timeout in seconds for --endpoint/--cmd "
+                   help="seconds to wait for each reply line from "
+                        "--endpoint/--cmd, not for a whole query "
                         f"(default {BlackBoxConfig.timeout:g})")
     p.add_argument("--retries", type=int,
                    help="reconnect attempts for --endpoint/--cmd "

@@ -15,9 +15,12 @@ write-ahead is bounded: at most WRITE_AHEAD_BYTES of requests are
 unanswered at any time, and a longer sequence goes out in windows, each
 sent once the previous one is answered. That keeps the client from
 blocking in a write while the server blocks writing replies nobody
-reads. The verdict is the FINAL output token checked against the
-configured unsafe set. Anything else coming back, a timeout or a closed
-pipe anywhere in the batch is a transport error, and the client drops
+reads. The client checks the replies each read brings as soon as it
+arrives, so a bad reply fails without waiting for the rest of the
+window; the timeout bounds each wait for the next reply line. The
+verdict is the FINAL output token checked against the configured
+unsafe set. Anything else coming back, a timeout or a closed pipe
+anywhere in the batch is a transport error, and the client drops
 the connection, so no stale reply reaches the next query. A lost
 connection (a timeout, a closed pipe, a failed read or write, a failed
 TCP connect) is retried on a fresh connection a bounded number of times
@@ -27,7 +30,8 @@ would meet the same fault. The client never invents a verdict: the
 learning guarantee assumes every answered query is answered correctly.
 
 The server half drives a MealyMachine over the same protocol so the
-black-box path can be exercised against a known model.
+black-box path can be exercised against a known model. It answers all
+the complete requests one read brings, in order, with one write.
 """
 
 from __future__ import annotations
@@ -56,6 +60,11 @@ log = logging.getLogger(__name__)
 # always completes without the peer reading.
 WRITE_AHEAD_BYTES = 4096
 
+# Most bytes one read takes from the peer, on either end.
+READ_BYTES = 65536
+
+_RESET = b"RESET\n"
+
 
 def parse_host_port(address: str) -> tuple[str, int]:
     """Split a HOST:PORT address; the port is a decimal number up to 65535."""
@@ -72,7 +81,10 @@ class BlackBoxConfig:
 
     Exactly one of ``command`` (a subprocess invocation, split with
     shell quoting rules into ``argv``) and ``address`` (a HOST:PORT
-    string) must be set.
+    string) must be set. ``timeout`` bounds, in seconds, each wait for
+    the next reply line (and a TCP connect), not a whole query: a query
+    of n steps may take up to n + 1 timeouts while its replies keep
+    coming.
     """
 
     command: str | None = None
@@ -134,28 +146,30 @@ class _Channel:
         self._counters.writes += 1
         self._counters.bytes_sent += len(data)
 
-    def recv_line(self, timeout: float) -> str:
-        deadline = time.monotonic() + timeout
-        while b"\n" not in self._buf:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise _ConnectionLost(f"no response within {timeout:g}s")
-            if not self._sel.select(remaining):
-                continue
-            try:
-                chunk = self._recv(65536)
-            except (ConnectionError, OSError) as exc:
-                raise _ConnectionLost(f"read failed: {exc}") from exc
-            if not chunk:
-                raise _ConnectionLost("connection closed by peer")
-            self._counters.bytes_received += len(chunk)
-            self._buf += chunk
-        line, _, self._buf = self._buf.partition(b"\n")
-        try:
-            return line.decode("utf-8").rstrip("\r")
-        except UnicodeDecodeError as exc:
-            raise TransportError(f"reply is not UTF-8: {line[:40]!r}") \
-                from exc
+    def recv_lines(self, most: int, timeout: float) -> list[bytes]:
+        """Wait at most ``timeout`` for a complete reply line, then return
+        the complete lines received so far, oldest first, at most
+        ``most`` of them; any further bytes stay unread."""
+        if b"\n" not in self._buf:
+            deadline = time.monotonic() + timeout
+            while True:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise _ConnectionLost(f"no response within {timeout:g}s")
+                if not self._sel.select(remaining):
+                    continue
+                try:
+                    chunk = self._recv(READ_BYTES)
+                except (ConnectionError, OSError) as exc:
+                    raise _ConnectionLost(f"read failed: {exc}") from exc
+                if not chunk:
+                    raise _ConnectionLost("connection closed by peer")
+                self._counters.bytes_received += len(chunk)
+                self._buf += chunk
+                if b"\n" in chunk:
+                    break
+        *lines, self._buf = self._buf.split(b"\n", most)
+        return lines
 
     def has_unread(self) -> bool:
         return bool(self._buf)
@@ -242,20 +256,25 @@ class RemoteSafetyQuery(SafetyQuery):
         self._connected_before = False
         self._channel: _Channel | None = None
         self._alphabet = self._with_retries(self._request_alphabet)
+        # each STEP line is encoded once, not once per query
+        self._steps = {sym: f"STEP {sym}\n".encode("utf-8")
+                       for sym in self._alphabet}
 
     # -- plumbing ------------------------------------------------------------
 
-    def _pipeline(self, requests: list[str]):
-        """Send ``requests`` and yield each reply's tokens, in order.
+    def _pipeline(self, lines: list[bytes]):
+        """Send the request ``lines`` and yield each reply's tokens, in order.
 
         Requests go out in windows of at most WRITE_AHEAD_BYTES (and at
         least one request), one write each; a window is sent once every
-        reply to the one before has been read. Exhausting the generator
-        checks that the peer sent nothing beyond the last reply.
+        reply to the one before has been read. The replies that one read
+        completes are yielded as soon as it arrives, so a bad reply fails
+        without waiting for the rest of the window. After each window,
+        the peer must have sent nothing beyond its last reply.
         """
         channel = self._channel
         assert channel is not None
-        lines = [(request + "\n").encode("utf-8") for request in requests]
+        timeout = self.config.timeout
         start = 0
         while start < len(lines):
             stop, size = start + 1, len(lines[start])
@@ -265,14 +284,22 @@ class RemoteSafetyQuery(SafetyQuery):
                 stop += 1
             channel.send(b"".join(lines[start:stop]))
             self.requests += stop - start
-            for _ in range(start, stop):
-                tokens = channel.recv_line(self.config.timeout).split()
-                if not tokens:
-                    raise TransportError("empty reply")
-                yield tokens
+            unanswered = stop - start
+            while unanswered:
+                replies = channel.recv_lines(unanswered, timeout)
+                unanswered -= len(replies)
+                for reply in replies:
+                    try:
+                        tokens = reply.decode("utf-8").split()
+                    except UnicodeDecodeError as exc:
+                        raise TransportError(
+                            f"reply is not UTF-8: {reply[:40]!r}") from exc
+                    if not tokens:
+                        raise TransportError("empty reply")
+                    yield tokens
+            if channel.has_unread():
+                raise TransportError("unrequested bytes after the last reply")
             start = stop
-        if channel.has_unread():
-            raise TransportError("unrequested bytes after the last reply")
 
     def _open(self):
         if self._channel is None:
@@ -321,7 +348,7 @@ class RemoteSafetyQuery(SafetyQuery):
     # -- protocol ------------------------------------------------------------
 
     def _request_alphabet(self) -> tuple[str, ...]:
-        (tokens,) = self._pipeline(["ALPHABET"])
+        (tokens,) = self._pipeline([b"ALPHABET\n"])
         symbols = tokens[1:]
         # a repeated symbol would count one input sequence several times
         if (tokens[0] != "OK" or not symbols
@@ -334,7 +361,7 @@ class RemoteSafetyQuery(SafetyQuery):
         return self._alphabet
 
     def _answer(self, seq: tuple[str, ...]) -> bool:
-        requests = ["RESET", *(f"STEP {sym}" for sym in seq)]
+        requests = [_RESET, *map(self._steps.__getitem__, seq)]
 
         def attempt():
             replies = self._pipeline(requests)
@@ -385,23 +412,70 @@ class _ModelSession:
         return f"ERR unknown command {cmd}"
 
 
+def _read_batches(read1):
+    """Yield, per call of ``read1``, the complete request lines it brings.
+
+    ``read1(size)`` returns what is available, at most ``size`` bytes,
+    and ``b""`` at EOF; a last line without a newline comes at EOF.
+    """
+    partial: list[bytes] = []
+    while chunk := read1(READ_BYTES):
+        if b"\n" not in chunk:
+            partial.append(chunk)
+            continue
+        lines = chunk.split(b"\n")
+        if partial:
+            lines[0] = b"".join(partial) + lines[0]
+        last = lines.pop()
+        partial = [last] if last else []
+        yield lines
+    if partial:
+        yield [b"".join(partial)]
+
+
+def _serve_session(machine: MealyMachine, batches, send):
+    """Answer each batch of request lines in order, sending the batch's
+    replies, one line per request, with one call of ``send``."""
+    session = _ModelSession(machine)
+    for batch in batches:
+        send("".join([session.respond(line) + "\n" for line in batch]))
+
+
 def serve_stdio(machine: MealyMachine, stdin=None, stdout=None):
     """Answer protocol requests on stdio until EOF. Blocks.
 
-    ``stdin`` yields request lines as text or bytes; ``stdout`` takes
-    text. By default the server reads the raw bytes of ``sys.stdin``,
+    ``stdin`` is a binary stream or yields request lines as text or
+    bytes; ``stdout`` takes text. A stream with ``read1`` is read as it
+    arrives: the replies to all the complete requests one read brings go
+    out in one write and one flush. Other input is answered line by
+    line. By default the server reads the raw bytes of ``sys.stdin``,
     so a request that is not UTF-8 gets an ``ERR`` reply instead of
     stopping it, and writes UTF-8 to ``sys.stdout`` whatever the
-    locale.
+    locale. A reader that goes away ends the session as EOF does.
     """
+    own_stdout = stdout is None
     stdin = stdin if stdin is not None else sys.stdin.buffer
-    if stdout is None:
+    if own_stdout:
         stdout = sys.stdout
         stdout.reconfigure(encoding="utf-8")
-    session = _ModelSession(machine)
-    for raw in stdin:
-        stdout.write(session.respond(raw) + "\n")
+    read1 = getattr(stdin, "read1", None)
+    batches = (_read_batches(read1) if read1 is not None
+               else ([line] for line in stdin))
+
+    def send(text: str):
+        stdout.write(text)
         stdout.flush()
+
+    try:
+        _serve_session(machine, batches, send)
+    except BrokenPipeError:
+        if own_stdout:
+            # the replies still buffered can never be read: point the
+            # descriptor at the null device, or the flush at exit fails
+            # again and prints a traceback
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout.fileno())
+            os.close(devnull)
 
 
 def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
@@ -412,7 +486,8 @@ def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
     socket is listening; with ``port=0`` that is the only way to learn
     the ephemeral port. ``max_sessions`` bounds how many client
     connections are served before returning (None = serve forever).
-    A connection error ends only the session it happens in.
+    The replies to all the complete requests one read brings go out in
+    one write. A connection error ends only the session it happens in.
     """
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -425,17 +500,15 @@ def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
     try:
         while max_sessions is None or served < max_sessions:
             conn, addr = server.accept()
-            # one small write per reply: send each at once (no Nagle), or
-            # a pipelining client waits for a delayed ack per batch
+            # send each batch of replies at once (no Nagle), or a
+            # pipelining client waits for a delayed ack per window
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             served += 1
-            session = _ModelSession(machine)
             try:
-                with conn, conn.makefile("rwb") as stream:
-                    for raw in stream:
-                        stream.write((session.respond(raw) + "\n")
-                                     .encode("utf-8"))
-                        stream.flush()
+                with conn:
+                    _serve_session(
+                        machine, _read_batches(conn.recv),
+                        lambda text: conn.sendall(text.encode("utf-8")))
             except OSError as exc:
                 log.warning("session with %s ended: %s", addr, exc)
     finally:

@@ -568,3 +568,29 @@ def test_serve_model_stdio_replies_in_utf8_under_an_ascii_locale():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode("utf-8").splitlines() == \
         ["ERR unknown command é", "OK"]
+
+
+def test_serve_model_stdio_ends_quietly_when_its_reader_goes_away():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pacreach.cli", "serve-model",
+         "--model", "alks_with", "--stdio"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, bufsize=0)
+    try:
+        proc.stdin.write(b"RESET\n")
+        assert proc.stdout.readline() == b"OK\n"
+        proc.stdout.close()  # the reader goes away
+        try:
+            for _ in range(100):
+                proc.stdin.write(b"RESET\n" * 1000)
+        except BrokenPipeError:
+            pass  # the server has already stopped reading
+        proc.stdin.close()
+        assert proc.wait(timeout=30) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdin.close()
+        proc.stderr.close()

@@ -518,3 +518,166 @@ def test_any_reply_bytes_give_a_verdict_or_transport_error_in_time(n, junk):
             waited = time.monotonic() - started
     assert verdict in (True, False, None)
     assert waited < (config["max_retries"] + 1) * (n + 1) * config["timeout"]
+
+
+class _ChunkedRequests:
+    """A binary request stream whose ``read1`` hands out ``chunks`` in
+    order, one per call, then EOF."""
+
+    def __init__(self, chunks):
+        self._chunks = iter(chunks)
+
+    def read1(self, size):
+        chunk = next(self._chunks, b"")
+        assert len(chunk) <= size
+        return chunk
+
+
+class _CountingSink:
+    """A text sink that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def flush(self):
+        pass
+
+
+_REQUEST_PIECES = [b"ALPHABET", b"RESET", b"STEP l", b"STEP s", b"STEP x",
+                   b"FROB", b"\n", b"\r\n", b" ", b"\xff\xfe", b"\xc3\xa9"]
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.sampled_from(_REQUEST_PIECES),
+                          st.binary(max_size=8)), max_size=30)
+       .map(b"".join),
+       st.data())
+def test_replies_to_any_split_of_the_requests_equal_line_by_line_replies(
+        data, draw):
+    machine = build_alks(True)
+    cuts = sorted(draw.draw(st.sets(st.integers(1, max(len(data) - 1, 1)),
+                                    max_size=8)))
+    bounds = [0, *(cut for cut in cuts if cut < len(data)), len(data)]
+    chunks = [data[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+    batched = _CountingSink()
+    serve_stdio(machine, _ChunkedRequests(chunks), batched)
+    by_line = io.StringIO()
+    serve_stdio(machine, io.BytesIO(data).readlines(), by_line)
+    assert "".join(batched.writes) == by_line.getvalue()
+    # one write for each read that completes a request line, and one for
+    # a last line left without a newline at EOF
+    reads_that_answer = sum(b"\n" in chunk for chunk in chunks)
+    unterminated = bool(data) and not data.endswith(b"\n")
+    assert len(batched.writes) == reads_that_answer + unterminated
+
+
+def test_one_pipelined_window_is_answered_with_one_write(monkeypatch):
+    machine = build_alks(False)
+    seq = ("l", "s", "r", "l", "l")
+    window = b"".join([b"RESET\n", *(f"STEP {s}\n".encode() for s in seq)])
+    session = _ModelSession(machine)
+    want = "".join(f"{session.respond(line)}\n"
+                   for line in window.splitlines())
+    # stdio: one atomic pipe write, read through a buffered reader
+    read_end, write_end = os.pipe()
+    os.write(write_end, window)
+    os.close(write_end)
+    sink = _CountingSink()
+    with open(read_end, "rb") as requests:
+        serve_stdio(machine, requests, sink)
+    assert sink.writes == [want]
+    # TCP: the session's sends, counted on the socket class
+    sent = []
+    real_sendall = socket.socket.sendall
+
+    def counting_sendall(sock, data, *args):
+        sent.append(data)
+        return real_sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+    server, addr = _serve_in_thread(machine, max_sessions=1)
+    with socket.create_connection(addr, timeout=5) as sock:
+        sock.send(window)
+        sock.shutdown(socket.SHUT_WR)
+        replies = b""
+        while chunk := sock.recv(4096):
+            replies += chunk
+    server.join(5)
+    assert not server.is_alive()
+    assert replies == want.encode()
+    assert sent == [want.encode()]
+
+
+def test_a_wait_for_each_reply_is_bounded_by_timeout_not_the_query():
+    # six replies, each 0.6 timeout after the one before: the query
+    # takes 3.6 timeouts, but no single reply line is late
+    timeout = 0.5
+
+    def one_reply_at_a_time_slowly(conn, session, replies):
+        for reply in replies:
+            time.sleep(0.6 * timeout)
+            conn.sendall(reply)
+
+    local = MachineSafetyQuery(build_alks(False))
+    seq = ("l", "s", "l", "l", "r")
+    with _FakePeer(5, one_reply_at_a_time_slowly) as peer:
+        with RemoteSafetyQuery(_peer_config(peer, timeout=timeout,
+                                            max_retries=0)) as remote:
+            assert remote.is_safe(seq) == local.is_safe(seq)
+            assert (remote.retries, remote.reconnects) == (0, 0)
+
+
+def test_a_bad_reset_reply_fails_at_once_without_waiting_for_the_window():
+    # the peer answers RESET wrongly and then never sends the STEP
+    # replies: the client must not wait out the timeout for them
+    def bad_reset_then_silence(conn, session, replies):
+        conn.sendall(b"WAT\n")
+
+    timeout = 5.0
+    with _FakePeer(5, bad_reset_then_silence) as peer:
+        with RemoteSafetyQuery(_peer_config(peer, timeout=timeout,
+                                            max_retries=2)) as remote:
+            started = time.monotonic()
+            with pytest.raises(TransportError, match="bad RESET reply: WAT"):
+                remote.is_safe(("s",) * 5)
+            assert time.monotonic() - started < timeout / 5
+            assert (remote.retries, remote.reconnects) == (0, 0)
+            assert remote.query_count == 0
+
+
+def test_an_unrequested_reply_between_windows_fails_the_query():
+    # the peer slips an extra reply in after the first window's last one
+    # and leaves the query's last request unanswered, so the reply count
+    # comes out right; read as replies to the next window, the shifted
+    # lines would give a verdict for the wrong step
+    n = 1000
+    first_window = 1 + (WRITE_AHEAD_BYTES - len(b"RESET\n")) // len(b"STEP l\n")
+    assert first_window < n + 1
+    script = (
+        "import sys\n"
+        f"first_window, last = {first_window}, {n + 1}\n"
+        "answered = 0\n"
+        "for line in sys.stdin:\n"
+        "    if line.strip() == 'ALPHABET':\n"
+        "        reply = 'OK l\\n'\n"
+        "    else:\n"
+        "        answered += 1\n"
+        "        reply = 'OK\\n' if answered == 1 else 'OUT ok\\n'\n"
+        "        if answered == first_window:\n"
+        "            reply += 'OUT ok\\n'\n"
+        "        if answered == last:\n"
+        "            continue\n"
+        "    sys.stdout.write(reply)\n"
+        "    sys.stdout.flush()\n"
+    )
+    cfg = BlackBoxConfig(command=f"{sys.executable} -c \"{script}\"",
+                         unsafe_outputs=frozenset({"alarm"}),
+                         timeout=5.0, max_retries=2)
+    with RemoteSafetyQuery(cfg) as remote:
+        with pytest.raises(TransportError, match="unrequested bytes"):
+            remote.is_safe(("l",) * n)
+        assert (remote.retries, remote.reconnects) == (0, 0)
+        assert remote.writes == 2  # ALPHABET and the first window only
