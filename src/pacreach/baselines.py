@@ -110,14 +110,12 @@ def monte_carlo(sul: SafetyQuery, n: int, samples: int,
     """Hit ratio of `samples` uniform random sequences, with its
     normal-approximation standard error.
 
-    Draws with the same per-step uniform sampler the learner uses, so
-    the two probabilities in a report are comparable.
+    Draws from ``sul.draws``, the uniform sampler the learner uses, so
+    the two probabilities in a report are comparable; exactly
+    ``samples`` queries are answered.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(samples):
-        if sul.is_safe(sul.random_input(n, rng)):
-            hits += 1
+    draws = sul.draws(n, random.Random(seed))
+    hits = sum(safe for safe, _ in itertools.islice(draws, samples))
     return MonteCarloEstimate(samples, hits, seed)

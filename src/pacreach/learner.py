@@ -33,6 +33,9 @@ import logging
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
+from typing import Iterator
 
 from .errors import SamplingCapError, ValidationError
 from .monomials import Monomial, MonomialSet
@@ -49,6 +52,8 @@ ORACLE_PAPER_LITERAL = "paper-literal"
 
 DEFAULT_SAMPLE_ATTEMPT_CAP = 100_000
 DEFAULT_ORACLE_EXPANSION_CAP = 1_000_000
+
+_FREE = frozenset((None,))  # what a monomial holds at a don't-care step
 
 
 @dataclass(frozen=True)
@@ -91,16 +96,25 @@ class LearnerStats:
 
 
 def draw_safe_example(sul: SafetyQuery, horizon: int,
-                      rng: random.Random) -> Monomial:
+                      rng: random.Random | Iterator) -> Monomial:
     """Rejection-sample a safe sequence; return it fully bound.
+
+    ``rng`` is a ``random.Random``, read one symbol at a time through
+    ``sul.random_input``, or an iterator from ``sul.draws(horizon,
+    rng)``, which ``learn_safe_set`` passes so that one block-read
+    stream serves all its examples. Either way each attempt is one
+    query.
 
     Raises SamplingCapError when ``DEFAULT_SAMPLE_ATTEMPT_CAP`` uniform
     draws all come back unsafe, the signature of a (near-)zero safety
     probability.
     """
-    for _ in range(DEFAULT_SAMPLE_ATTEMPT_CAP):
-        seq = sul.random_input(horizon, rng)
-        if sul.is_safe(seq):
+    draws = rng
+    if isinstance(rng, random.Random):
+        seqs = iter(partial(sul.random_input, horizon, rng), None)
+        draws = ((sul.is_safe(seq), seq) for seq in seqs)
+    for safe, seq in islice(draws, DEFAULT_SAMPLE_ATTEMPT_CAP):
+        if safe:
             return Monomial.from_sequence(seq)
     raise SamplingCapError(DEFAULT_SAMPLE_ATTEMPT_CAP)
 
@@ -128,7 +142,8 @@ def query_oracle(sul: SafetyQuery, candidate: Monomial,
             "not generalizing %s: expansion of %d sequences exceeds cap %d",
             candidate, size, DEFAULT_ORACLE_EXPANSION_CAP)
         return False
-    candidate.check_alphabet(sul.input_alphabet)
+    if not set(candidate.symbols) - sul._symbol_set <= _FREE:
+        candidate.check_alphabet(sul.input_alphabet)  # raises, naming them
     return sul.answer_monomial(candidate, semantics == ORACLE_ALL_SAFE)
 
 
@@ -140,13 +155,13 @@ def learn_safe_set(sul: SafetyQuery,
     With the default all-safe oracle every sequence the result covers is
     safe; the result never claims safety it has not checked.
     """
-    rng = random.Random(cfg.rng_seed)
+    draws = sul.draws(cfg.horizon, random.Random(cfg.rng_seed))
     learned = MonomialSet(cfg.horizon, ())
     stats = LearnerStats()
     started = time.perf_counter()
     for _ in range(cfg.sample_budget):
         before = sul.query_count
-        example = draw_safe_example(sul, cfg.horizon, rng)
+        example = draw_safe_example(sul, cfg.horizon, draws)
         stats.sample_attempts += sul.query_count - before
         stats.examples_drawn += 1
         if learned.implies(example):

@@ -6,6 +6,12 @@ the wire adapter (see wire.py) drives an external process or socket and
 classifies the final output token. The learner, the Monte Carlo
 baseline and the CLI all talk to this interface only, so a model file
 and a live black box are interchangeable.
+
+Random input runs come from ``SafetyQuery.draws``: the sequences that
+``rng.choice`` would pick, symbol by symbol, read from the generator in
+blocks, each with its verdict. A black box answers each one through
+``is_safe``; a machine folds the symbol numbers over its numbered states
+and builds the symbol tuple of a safe run only.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import random
 from abc import ABC, abstractmethod
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ValidationError
 from .mealy import MealyMachine
@@ -21,15 +27,19 @@ from .monomials import Monomial
 
 __all__ = ["SafetyQuery", "MachineSafetyQuery"]
 
+# SafetyQuery.draws reads its generator this many 32-bit words at a time.
+DRAW_BLOCK_WORDS = 4096
+
 
 class SafetyQuery(ABC):
     """Deterministic safety membership queries over a fixed input alphabet.
 
     ``query_count`` counts answered queries; failed queries (transport
     errors and the like) do not count. ``is_safe`` answers one and adds
-    1. ``answer_monomial`` adds the number of queries its expansion loop
-    makes, whether it runs them (the default) or computes both the
-    verdict and that number without running them (``MachineSafetyQuery``).
+    1, and so does each item taken from ``draws``. ``answer_monomial``
+    adds the number of queries its expansion loop makes, whether it runs
+    them (the default) or computes both the verdict and that number
+    without running them (``MachineSafetyQuery``).
     Implementations must be deterministic: the same sequence always gets
     the same verdict.
     """
@@ -81,20 +91,91 @@ class SafetyQuery(ABC):
         draws again while the result is k or more, the steps
         ``Random.choice`` takes, without its per-symbol call overhead.
         """
+        alphabet = self._draw_alphabet(n)
+        return _symbols(alphabet, _choices(n, len(alphabet), rng))
+
+    def draws(self, n: int, rng: random.Random
+              ) -> Iterator[tuple[bool, tuple[str, ...] | None]]:
+        """Uniform random length-n sequences with their verdicts, lazily.
+
+        Item j is ``(safe, seq)`` for the j-th sequence that
+        ``random_input(n, twin)`` returns from a twin of ``rng``, that is
+        the symbols of ``rng.choice`` in order. Taking an item answers
+        one query and adds 1 to ``query_count``; no query runs before
+        its item is taken. ``seq`` may be None where ``safe`` is false.
+
+        ``rng`` is read in blocks of ``DRAW_BLOCK_WORDS`` words, so its
+        state afterwards is not that of the twin: pass a generator that
+        nothing else reads. A bad horizon or an empty alphabet raises
+        ValidationError here, before ``rng`` is read.
+        """
+        alphabet = self._draw_alphabet(n)
+        return self._draws(n, alphabet, _choice_blocks(n, len(alphabet), rng))
+
+    def _draws(self, n, alphabet, blocks):
+        # the default: one is_safe call per sequence
+        for block in blocks:
+            for start in range(0, len(block), n):
+                seq = _symbols(alphabet, block[start:start + n])
+                yield self.is_safe(seq), seq
+
+    def _draw_alphabet(self, n: int) -> tuple[str, ...]:
         if n < 1:
             raise ValidationError(f"horizon must be >= 1, got {n}")
         alphabet = self.input_alphabet
-        k = len(alphabet)
-        if not k:
+        if not alphabet:
             raise ValidationError("input alphabet is empty")
-        bits, getrandbits = k.bit_length(), rng.getrandbits
-        seq = []
-        for _ in range(n):
+        return alphabet
+
+
+def _symbols(alphabet: tuple[str, ...], numbers) -> tuple[str, ...]:
+    # through a list: tuple() of an iterator of unknown length
+    # over-allocates, and learned sets and reports keep these tuples
+    return tuple([alphabet[r] for r in numbers])
+
+
+def _choices(n: int, k: int, rng: random.Random) -> list[int]:
+    """The numbers of the symbols that n calls of ``rng.choice`` over k
+    symbols pick, read one ``getrandbits`` call per try."""
+    bits, getrandbits = k.bit_length(), rng.getrandbits
+    picked = []
+    for _ in range(n):
+        r = getrandbits(bits)
+        while r >= k:
             r = getrandbits(bits)
-            while r >= k:
-                r = getrandbits(bits)
-            seq.append(alphabet[r])
-        return tuple(seq)
+        picked.append(r)
+    return picked
+
+
+def _choice_blocks(n: int, k: int, rng: random.Random):
+    """``_choices`` for draw after draw, n symbols each, read in blocks.
+
+    Yields sequences of symbol numbers whose lengths are multiples of
+    n; draw j is items ``[j*n, (j+1)*n)`` of their concatenation. For
+    k <= 255 one ``getrandbits(32 * DRAW_BLOCK_WORDS)`` call stands for
+    that many one-word calls: CPython fills a wide result from the
+    least significant 32-bit word up, one generator word per 32 bits,
+    and ``getrandbits(bits)`` for bits <= 32 is the top ``bits`` bits
+    of one word. So the top byte of each word, shifted right by
+    ``8 - bits`` and dropped when k or more, is the stream of picks,
+    computed by one ``bytes.translate``. Larger alphabets read one
+    call per try, one draw per block.
+    """
+    if k > 255:
+        while True:
+            yield _choices(n, k, rng)
+    shift = 8 - k.bit_length()
+    picks = [byte >> shift for byte in range(256)]
+    table = bytes(r if r < k else 0 for r in picks)
+    reject = bytes(byte for byte, r in enumerate(picks) if r >= k)
+    words, left = DRAW_BLOCK_WORDS, b""
+    while True:
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        stream = left + raw[3::4].translate(table, reject)
+        whole = len(stream) - len(stream) % n
+        left = stream[whole:]
+        if whole:
+            yield stream[:whole]
 
 
 class MachineSafetyQuery(SafetyQuery):
@@ -106,7 +187,9 @@ class MachineSafetyQuery(SafetyQuery):
     leads to state k (``_pred[None]`` over the whole alphabet). Masks
     ``_safe`` and ``_unsafe`` split the states, and ``_initial`` is a
     number. A query folds ``_succ`` from ``_initial`` and reads one bit
-    of ``_safe``; no output trace is built.
+    of ``_safe``; no output trace is built. ``draws`` folds the symbol
+    numbers it reads from the generator the same way, without building
+    a symbol tuple for an unsafe draw.
 
     A whole monomial is answered without running its sequences, by one
     backward pass over sets of states (the bounded-reachability step of
@@ -145,6 +228,22 @@ class MachineSafetyQuery(SafetyQuery):
         for sym in seq:
             state = self._succ[sym][state]
         return bool(self._safe >> state & 1)
+
+    def _draws(self, n, alphabet, blocks):
+        # the verdict of _answer, folded over symbol numbers; the string
+        # tuple is built for a safe draw only
+        succ = [self._succ[sym] for sym in alphabet]
+        initial, safe = self._initial, self._safe
+        for block in blocks:
+            for start in range(0, len(block), n):
+                run, state = block[start:start + n], initial
+                for r in run:
+                    state = succ[r][state]
+                self.query_count += 1
+                if safe >> state & 1:
+                    yield True, _symbols(alphabet, run)
+                else:
+                    yield False, None
 
     def _preimage(self, sym: str | None, mask: int) -> int:
         """The mask of states from which ``sym`` (any symbol, for None)

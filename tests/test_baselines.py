@@ -122,3 +122,12 @@ def test_monte_carlo_lands_near_truth():
 def test_monte_carlo_validation():
     with pytest.raises(ValidationError):
         monte_carlo(MachineSafetyQuery(build_alks(False)), 3, 0, seed=1)
+
+
+def test_monte_carlo_rejects_a_horizon_below_one():
+    sul = MachineSafetyQuery(build_alks(False))
+    for n in (0, -1):
+        with pytest.raises(ValidationError,
+                           match=f"^horizon must be >= 1, got {n}$"):
+            monte_carlo(sul, n, 100, seed=1)
+    assert sul.query_count == 0

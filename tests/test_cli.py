@@ -420,6 +420,14 @@ def test_estimate_matches_the_library_call(capsys):
     assert float(report["estimate"]) == mc.estimate
 
 
+def test_estimate_with_a_zero_horizon_exits_2(capsys):
+    code, out, err = run_cli(capsys, "estimate", "--model", "alks_with",
+                             "-n", "0", "-L", "10")
+    assert code == 2
+    assert out == ""
+    assert err == "error: horizon must be >= 1, got 0\n"
+
+
 def test_sample_size_from_rate(capsys):
     code, out, _ = run_cli(capsys, "sample-size", "--inverse-error", "1.83",
                            "--d-bound", "272")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from pacreach import learner
+from pacreach.baselines import monte_carlo
 from pacreach.errors import (SamplingCapError, TransportError,
                              ValidationError)
 from pacreach.learner import (ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL,
@@ -45,6 +46,19 @@ def test_draw_safe_example_gives_up_when_nothing_is_safe(monkeypatch):
         draw_safe_example(sul, 3, random.Random(0))
     assert info.value.attempts == 25
     assert sul.query_count == 25
+
+
+def test_draw_safe_example_reads_a_callers_generator_like_random_input():
+    machine = build_alks(False)
+    sul = MachineSafetyQuery(machine)
+    ours, twin = random.Random(8), random.Random(8)
+    for _ in range(30):
+        example = draw_safe_example(sul, 4, ours)
+        seq = sul.random_input(4, twin)
+        while not machine.trace(seq).safe:
+            seq = sul.random_input(4, twin)
+        assert example.symbols == seq
+        assert ours.getstate() == twin.getstate()
 
 
 def test_query_oracle_accepts_an_all_safe_generalization():
@@ -102,6 +116,23 @@ def test_query_oracle_rejects_unknown_semantics_over_the_cap(caplog):
     with pytest.raises(ValidationError, match="bogus"):
         query_oracle(sul, candidate, semantics="bogus")
     assert "exceeds cap" not in caplog.text
+
+
+@pytest.mark.parametrize("semantics", [ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL])
+@pytest.mark.parametrize("bindings,unknown", [
+    ({1: "x"}, ["x"]),
+    ({1: "l", 3: "zz"}, ["zz"]),
+    ({1: "x", 2: "s", 3: "b"}, ["b", "x"]),
+])
+def test_query_oracle_rejects_a_bound_symbol_outside_the_alphabet(
+        semantics, bindings, unknown):
+    for sul in (MachineSafetyQuery(build_alks(False)),
+                _BlackBox(build_alks(False))):
+        sul.query_count = 5
+        with pytest.raises(ValidationError) as info:
+            query_oracle(sul, Monomial.from_map(3, bindings), semantics)
+        assert str(info.value) == f"bound symbols not in alphabet: {unknown}"
+        assert sul.query_count == 5
 
 
 def test_learn_on_all_safe_machine_collapses_to_one_empty_monomial():
@@ -255,3 +286,55 @@ def test_transport_errors_propagate_out_of_the_loop():
     with pytest.raises(TransportError):
         learn_safe_set(_DropsMidOracle(),
                        LearnerConfig(horizon=2, sample_budget=1))
+
+
+class _BlackBox(SafetyQuery):
+    """A machine reached through ``is_safe`` only, counting its answers."""
+
+    def __init__(self, machine):
+        super().__init__()
+        self.machine = machine
+        self.answers = 0
+
+    @property
+    def input_alphabet(self):
+        return self.machine.inputs
+
+    def _answer(self, seq):
+        self.answers += 1
+        return self.machine.trace(seq).safe
+
+
+@pytest.mark.parametrize("model,horizon", [("alks_without", 4),
+                                           ("alks_with", 5), ("coffee", 3)])
+def test_a_black_box_answers_only_the_draws_taken(model, horizon):
+    # a query run ahead of its draw would show up in `answers`; the
+    # machine's fused draws must learn the same set from the same draws
+    machine = BUNDLED[model]()
+    sul = _BlackBox(machine)
+    cfg = LearnerConfig(horizon=horizon, sample_budget=150, rng_seed=9)
+    learned, stats = learn_safe_set(sul, cfg)
+    assert sul.answers == sul.query_count == \
+        stats.sample_attempts + stats.oracle_sequence_queries
+    fused = MachineSafetyQuery(machine)
+    fused_learned, fused_stats = learn_safe_set(fused, cfg)
+    assert fused_learned == learned
+    fused_stats.wall_time = stats.wall_time
+    assert fused_stats == stats
+    assert fused.query_count == sul.query_count
+    before = sul.query_count
+    mc = monte_carlo(sul, horizon, 333, seed=9)
+    assert sul.answers - before == sul.query_count - before == 333
+    assert mc == monte_carlo(MachineSafetyQuery(machine), horizon, 333,
+                             seed=9)
+
+
+def test_a_capped_search_answers_exactly_the_attempts_it_reports(
+        monkeypatch):
+    monkeypatch.setattr(learner, "DEFAULT_SAMPLE_ATTEMPT_CAP", 25)
+    for sul in (_BlackBox(BUNDLED["none_safe"]()),
+                MachineSafetyQuery(BUNDLED["none_safe"]())):
+        with pytest.raises(SamplingCapError) as info:
+            learn_safe_set(sul, LearnerConfig(horizon=3, sample_budget=5,
+                                              rng_seed=1))
+        assert info.value.attempts == sul.query_count == 25

@@ -10,13 +10,28 @@ from pacreach.errors import ValidationError
 from pacreach.learner import ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL
 from pacreach.models import BUNDLED, build_alks, random_machine
 from pacreach.monomials import Monomial
-from pacreach.sul import MachineSafetyQuery, SafetyQuery
+from pacreach.sul import DRAW_BLOCK_WORDS, MachineSafetyQuery, SafetyQuery
 
 
 class LoopOnly(MachineSafetyQuery):
     """The machine adapter on the default expansion loop: one run per query."""
 
     answer_monomial = SafetyQuery.answer_monomial
+
+
+class BlackBox(SafetyQuery):
+    """A machine reached through ``is_safe`` only: the default ``draws``."""
+
+    def __init__(self, machine):
+        super().__init__()
+        self.machine = machine
+
+    @property
+    def input_alphabet(self):
+        return self.machine.inputs
+
+    def _answer(self, seq):
+        return self.machine.trace(seq).safe
 
 
 def test_adapter_agrees_with_trace_exhaustively():
@@ -115,6 +130,50 @@ def test_random_input_rejects_an_empty_alphabet():
         NoInputs().random_input(3, random.Random(0))
 
 
+@pytest.mark.parametrize("adapter", [MachineSafetyQuery, BlackBox])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 13, 255, 256, 300])
+def test_draws_are_the_sequences_of_random_choice(adapter, size):
+    # every state is safe, so a machine builds every sequence too; at
+    # each n, enough draws to cross at least two block boundaries
+    sul = adapter(random_machine(1, size, 0.0, seed=0))
+    alphabet = sul.input_alphabet
+    for seed, n in enumerate((1, 2, 3, 7, 16, 5000)):
+        twin = random.Random(seed)
+        taken = 2 * DRAW_BLOCK_WORDS // n + 3
+        for safe, seq in itertools.islice(
+                sul.draws(n, random.Random(seed)), taken):
+            assert safe
+            assert seq == tuple(twin.choice(alphabet) for _ in range(n))
+        assert sul.query_count == taken
+        sul.query_count = 0
+
+
+@pytest.mark.parametrize("adapter", [MachineSafetyQuery, BlackBox])
+def test_draws_check_the_horizon_before_reading_the_generator(adapter):
+    sul, rng = adapter(build_alks(False)), random.Random(3)
+    state = rng.getstate()
+    for n in (0, -2):
+        with pytest.raises(ValidationError,
+                           match=f"^horizon must be >= 1, got {n}$"):
+            sul.draws(n, rng)
+    assert rng.getstate() == state
+    assert sul.query_count == 0
+
+
+def test_draws_reject_an_empty_alphabet_before_reading_the_generator():
+    class NoInputs(SafetyQuery):
+        input_alphabet = ()
+
+        def _answer(self, seq):
+            return True
+
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValidationError, match="empty"):
+        NoInputs().draws(3, rng)
+    assert rng.getstate() == state
+
+
 @st.composite
 def machines(draw):
     if draw(st.booleans()):
@@ -201,3 +260,21 @@ def test_analysis_through_the_loop_gives_the_same_row(model, horizon,
         seed=7, oracle_semantics=semantics)])
         for target in (MachineSafetyQuery(machine), LoopOnly(machine))]
     assert rows[0] == rows[1]
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_a_fused_draw_has_the_trace_verdict_and_counts_one_query(data):
+    machine = data.draw(machines())
+    n = data.draw(st.integers(1, 8))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    sul, twin = MachineSafetyQuery(machine), random.Random(seed)
+    draws = sul.draws(n, random.Random(seed))
+    assert sul.query_count == 0
+    for taken in range(1, data.draw(st.integers(0, 300)) + 1):
+        safe, seq = next(draws)
+        expected = tuple(twin.choice(machine.inputs) for _ in range(n))
+        assert safe == machine.trace(expected).safe
+        if safe:
+            assert seq == expected
+        assert sul.query_count == taken
