@@ -204,6 +204,9 @@ def _cmd_reproduce_table(args) -> int:
 def _cmd_serve_model(args) -> int:
     if args.max_sessions is not None and not args.listen:
         raise ValidationError("--max-sessions applies only to --listen")
+    if args.max_sessions is not None and args.max_sessions < 1:
+        raise ValidationError(
+            f"--max-sessions must be >= 1, got {args.max_sessions}")
     machine = resolve_model(args.model)
     if args.listen:
         host, port = parse_host_port(args.listen)

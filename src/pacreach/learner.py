@@ -33,7 +33,6 @@ import logging
 import random
 import time
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from typing import Iterator
 
@@ -95,24 +94,18 @@ class LearnerStats:
     wall_time: float = 0.0
 
 
-def draw_safe_example(sul: SafetyQuery, horizon: int,
-                      rng: random.Random | Iterator) -> Monomial:
+def draw_safe_example(draws: Iterator) -> Monomial:
     """Rejection-sample a safe sequence; return it fully bound.
 
-    ``rng`` is a ``random.Random``, read one symbol at a time through
-    ``sul.random_input``, or an iterator from ``sul.draws(horizon,
-    rng)``, which ``learn_safe_set`` passes so that one block-read
-    stream serves all its examples. Either way each attempt is one
-    query.
+    ``draws`` is an iterator from ``sul.draws(horizon, rng)``;
+    ``learn_safe_set`` passes one for all its examples, so that one
+    block-read stream serves them all. Each attempt takes one item of
+    it, which is one query.
 
     Raises SamplingCapError when ``DEFAULT_SAMPLE_ATTEMPT_CAP`` uniform
     draws all come back unsafe, the signature of a (near-)zero safety
     probability.
     """
-    draws = rng
-    if isinstance(rng, random.Random):
-        seqs = iter(partial(sul.random_input, horizon, rng), None)
-        draws = ((sul.is_safe(seq), seq) for seq in seqs)
     for safe, seq in islice(draws, DEFAULT_SAMPLE_ATTEMPT_CAP):
         if safe:
             return Monomial.from_sequence(seq)
@@ -161,7 +154,7 @@ def learn_safe_set(sul: SafetyQuery,
     started = time.perf_counter()
     for _ in range(cfg.sample_budget):
         before = sul.query_count
-        example = draw_safe_example(sul, cfg.horizon, draws)
+        example = draw_safe_example(draws)
         stats.sample_attempts += sul.query_count - before
         stats.examples_drawn += 1
         if learned.implies(example):

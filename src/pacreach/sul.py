@@ -17,6 +17,7 @@ and builds the symbol tuple of a safe run only.
 from __future__ import annotations
 
 import random
+import sys
 from abc import ABC, abstractmethod
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -82,27 +83,15 @@ class SafetyQuery(ABC):
                 return not want_all
         return want_all
 
-    def random_input(self, n: int, rng: random.Random) -> tuple[str, ...]:
-        """n symbols drawn independently, uniformly from the alphabet.
-
-        Consumes the same stream as ``rng.choice(alphabet)`` called n
-        times, and returns the same symbols: each draw takes
-        ``getrandbits(k.bit_length())`` for an alphabet of k symbols and
-        draws again while the result is k or more, the steps
-        ``Random.choice`` takes, without its per-symbol call overhead.
-        """
-        alphabet = self._draw_alphabet(n)
-        return _symbols(alphabet, _choices(n, len(alphabet), rng))
-
     def draws(self, n: int, rng: random.Random
               ) -> Iterator[tuple[bool, tuple[str, ...] | None]]:
         """Uniform random length-n sequences with their verdicts, lazily.
 
-        Item j is ``(safe, seq)`` for the j-th sequence that
-        ``random_input(n, twin)`` returns from a twin of ``rng``, that is
-        the symbols of ``rng.choice`` in order. Taking an item answers
-        one query and adds 1 to ``query_count``; no query runs before
-        its item is taken. ``seq`` may be None where ``safe`` is false.
+        Item j is ``(safe, seq)`` for the j-th n symbols that repeated
+        ``rng.choice(alphabet)`` calls pick on a twin of ``rng``. Taking
+        an item answers one query and adds 1 to ``query_count``; no
+        query runs before its item is taken. ``seq`` may be None where
+        ``safe`` is false.
 
         ``rng`` is read in blocks of ``DRAW_BLOCK_WORDS`` words, so its
         state afterwards is not that of the twin: pass a generator that
@@ -134,44 +123,43 @@ def _symbols(alphabet: tuple[str, ...], numbers) -> tuple[str, ...]:
     return tuple([alphabet[r] for r in numbers])
 
 
-def _choices(n: int, k: int, rng: random.Random) -> list[int]:
-    """The numbers of the symbols that n calls of ``rng.choice`` over k
-    symbols pick, read one ``getrandbits`` call per try."""
-    bits, getrandbits = k.bit_length(), rng.getrandbits
-    picked = []
-    for _ in range(n):
-        r = getrandbits(bits)
-        while r >= k:
-            r = getrandbits(bits)
-        picked.append(r)
-    return picked
-
-
 def _choice_blocks(n: int, k: int, rng: random.Random):
-    """``_choices`` for draw after draw, n symbols each, read in blocks.
+    """The symbol numbers that ``rng.choice`` over k symbols picks, read
+    in blocks, for draw after draw of n symbols each.
 
     Yields sequences of symbol numbers whose lengths are multiples of
-    n; draw j is items ``[j*n, (j+1)*n)`` of their concatenation. For
-    k <= 255 one ``getrandbits(32 * DRAW_BLOCK_WORDS)`` call stands for
-    that many one-word calls: CPython fills a wide result from the
-    least significant 32-bit word up, one generator word per 32 bits,
-    and ``getrandbits(bits)`` for bits <= 32 is the top ``bits`` bits
-    of one word. So the top byte of each word, shifted right by
-    ``8 - bits`` and dropped when k or more, is the stream of picks,
-    computed by one ``bytes.translate``. Larger alphabets read one
-    call per try, one draw per block.
+    n; draw j is items ``[j*n, (j+1)*n)`` of their concatenation. One
+    ``getrandbits(32 * DRAW_BLOCK_WORDS)`` call stands for that many
+    one-word calls: CPython fills a wide result from the least
+    significant 32-bit word up, one generator word per 32 bits, and
+    ``Random.choice`` over k < 2**32 symbols tries ``getrandbits(bits)``
+    for ``bits = k.bit_length()``, the top ``bits`` bits of one word,
+    until the result is below k. For k <= 255 the top byte of each word,
+    shifted right by ``8 - bits`` and dropped when k or more, is the
+    stream of picks, computed by one ``bytes.translate``. Larger
+    alphabets take the native 32-bit words of the block, shifted right
+    by ``32 - bits``, the same way.
     """
-    if k > 255:
-        while True:
-            yield _choices(n, k, rng)
-    shift = 8 - k.bit_length()
-    picks = [byte >> shift for byte in range(256)]
-    table = bytes(r if r < k else 0 for r in picks)
-    reject = bytes(byte for byte, r in enumerate(picks) if r >= k)
-    words, left = DRAW_BLOCK_WORDS, b""
+    words, bits = DRAW_BLOCK_WORDS, k.bit_length()
+    if k <= 255:
+        shift = 8 - bits
+        picks = [byte >> shift for byte in range(256)]
+        table = bytes(r if r < k else 0 for r in picks)
+        reject = bytes(byte for byte, r in enumerate(picks) if r >= k)
+        left = b""
+
+        def choose(block: int) -> bytes:
+            raw = block.to_bytes(4 * words, "little")
+            return raw[3::4].translate(table, reject)
+    else:
+        shift, left = 32 - bits, []
+
+        def choose(block: int) -> list[int]:
+            raw = block.to_bytes(4 * words, sys.byteorder)
+            return [r for word in memoryview(raw).cast("I")
+                    if (r := word >> shift) < k]
     while True:
-        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
-        stream = left + raw[3::4].translate(table, reject)
+        stream = left + choose(rng.getrandbits(32 * words))
         whole = len(stream) - len(stream) % n
         left = stream[whole:]
         if whole:

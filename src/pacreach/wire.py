@@ -488,16 +488,20 @@ def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
     connections are served before returning (None = serve forever).
     The replies to all the complete requests one read brings go out in
     one write. A connection error ends only the session it happens in.
+    A socket that cannot bind or listen raises TransportError.
     """
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind((host, port))
-    server.listen(1)
-    bound = server.getsockname()
-    if ready is not None:
-        ready(bound[0], bound[1])
-    served = 0
-    try:
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
+        server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            server.bind((host, port))
+            server.listen(1)
+        except OSError as exc:
+            raise TransportError(
+                f"cannot listen on {host}:{port}: {exc}") from exc
+        bound = server.getsockname()
+        if ready is not None:
+            ready(bound[0], bound[1])
+        served = 0
         while max_sessions is None or served < max_sessions:
             conn, addr = server.accept()
             # send each batch of replies at once (no Nagle), or a
@@ -511,5 +515,3 @@ def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
                         lambda text: conn.sendall(text.encode("utf-8")))
             except OSError as exc:
                 log.warning("session with %s ended: %s", addr, exc)
-    finally:
-        server.close()

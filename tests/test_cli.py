@@ -542,6 +542,31 @@ def test_serve_model_rejects_max_sessions_without_listen(capsys):
     assert "--max-sessions" in err
 
 
+@pytest.mark.parametrize("sessions", ["0", "-1"])
+def test_serve_model_rejects_fewer_than_one_session(capsys, sessions):
+    code, out, err = run_cli(capsys, "serve-model", "--model",
+                             "alks_without", "--listen", "127.0.0.1:0",
+                             "--max-sessions", sessions)
+    assert code == 2
+    assert out == ""  # it never listened
+    assert f"--max-sessions must be >= 1, got {sessions}" in err
+
+
+def test_serve_model_on_a_port_in_use_exits_3(capsys):
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen(1)
+        port = holder.getsockname()[1]
+        code, out, err = run_cli(capsys, "serve-model", "--model",
+                                 "alks_without", "--listen",
+                                 f"127.0.0.1:{port}")
+    assert code == 3
+    assert out == ""
+    assert err.startswith(
+        f"transport error: cannot listen on 127.0.0.1:{port}: ")
+    assert "Traceback" not in err
+
+
 def test_help_via_module_invocation():
     out = subprocess.run(
         [sys.executable, "-m", "pacreach.cli", "--help"],

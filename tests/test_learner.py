@@ -32,8 +32,7 @@ def test_config_validation():
 
 def test_draw_safe_example_returns_fully_bound_safe_sequence():
     sul = MachineSafetyQuery(build_alks(False))
-    rng = random.Random(5)
-    example = draw_safe_example(sul, 4, rng)
+    example = draw_safe_example(sul.draws(4, random.Random(5)))
     assert example.horizon == 4
     assert None not in example.symbols
     assert sul.is_safe(example.symbols)
@@ -43,22 +42,9 @@ def test_draw_safe_example_gives_up_when_nothing_is_safe(monkeypatch):
     monkeypatch.setattr(learner, "DEFAULT_SAMPLE_ATTEMPT_CAP", 25)
     sul = MachineSafetyQuery(BUNDLED["none_safe"]())
     with pytest.raises(SamplingCapError) as info:
-        draw_safe_example(sul, 3, random.Random(0))
+        draw_safe_example(sul.draws(3, random.Random(0)))
     assert info.value.attempts == 25
     assert sul.query_count == 25
-
-
-def test_draw_safe_example_reads_a_callers_generator_like_random_input():
-    machine = build_alks(False)
-    sul = MachineSafetyQuery(machine)
-    ours, twin = random.Random(8), random.Random(8)
-    for _ in range(30):
-        example = draw_safe_example(sul, 4, ours)
-        seq = sul.random_input(4, twin)
-        while not machine.trace(seq).safe:
-            seq = sul.random_input(4, twin)
-        assert example.symbols == seq
-        assert ours.getstate() == twin.getstate()
 
 
 def test_query_oracle_accepts_an_all_safe_generalization():

@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +9,8 @@ from pacreach.errors import ValidationError
 from pacreach.learner import ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL
 from pacreach.models import BUNDLED, build_alks, random_machine
 from pacreach.monomials import Monomial
-from pacreach.sul import DRAW_BLOCK_WORDS, MachineSafetyQuery, SafetyQuery
+from pacreach.sul import (DRAW_BLOCK_WORDS, MachineSafetyQuery, SafetyQuery,
+                          _choice_blocks)
 
 
 class LoopOnly(MachineSafetyQuery):
@@ -73,65 +73,9 @@ def test_unknown_symbol_is_validation_error():
         sul.is_safe(["l", "x", "s"])
 
 
-def test_random_input_shape_and_membership():
-    sul = MachineSafetyQuery(build_alks(False))
-    rng = random.Random(99)
-    seq = sul.random_input(7, rng)
-    assert len(seq) == 7
-    assert set(seq) <= set(sul.input_alphabet)
-    with pytest.raises(ValidationError):
-        sul.random_input(0, rng)
-
-
-def test_random_input_single_symbol_alphabet():
-    from pacreach.models import random_machine
-    sul = MachineSafetyQuery(random_machine(1, 1, 0.0, seed=0))
-    assert sul.random_input(4, random.Random(0)) == ("i0",) * 4
-
-
-def test_random_input_deterministic_in_seed():
-    sul = MachineSafetyQuery(build_alks(False))
-    a = [sul.random_input(5, random.Random(123)) for _ in range(10)]
-    b = [sul.random_input(5, random.Random(123)) for _ in range(10)]
-    assert a == b
-
-
-def test_random_input_is_roughly_uniform():
-    # 10^5 single-step draws: each symbol within 2 percentage points of 1/3
-    sul = MachineSafetyQuery(build_alks(False))
-    rng = random.Random(2024)
-    freq = Counter(sul.random_input(1, rng)[0] for _ in range(100_000))
-    for sym in sul.input_alphabet:
-        assert abs(freq[sym] / 100_000 - 1 / 3) < 0.02
-
-
-@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 13])
-def test_random_input_consumes_the_stream_of_random_choice(size):
-    # the learner's and the baseline's draws, and so every report, stay
-    # those of rng.choice on every supported Python
-    sul = MachineSafetyQuery(random_machine(1, size, 0.0, seed=0))
-    alphabet = sul.input_alphabet
-    for seed in range(20):
-        ours, twin = random.Random(seed), random.Random(seed)
-        for n in (1, 2, 3, 7, 16) * 10:
-            expected = tuple(twin.choice(alphabet) for _ in range(n))
-            assert sul.random_input(n, ours) == expected
-        assert ours.getstate() == twin.getstate()
-
-
-def test_random_input_rejects_an_empty_alphabet():
-    class NoInputs(SafetyQuery):
-        input_alphabet = ()
-
-        def _answer(self, seq):
-            return True
-
-    with pytest.raises(ValidationError, match="empty"):
-        NoInputs().random_input(3, random.Random(0))
-
-
 @pytest.mark.parametrize("adapter", [MachineSafetyQuery, BlackBox])
-@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 13, 255, 256, 300])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 13, 255, 256, 300,
+                                  4097, 70000])
 def test_draws_are_the_sequences_of_random_choice(adapter, size):
     # every state is safe, so a machine builds every sequence too; at
     # each n, enough draws to cross at least two block boundaries
@@ -146,6 +90,20 @@ def test_draws_are_the_sequences_of_random_choice(adapter, size):
             assert seq == tuple(twin.choice(alphabet) for _ in range(n))
         assert sul.query_count == taken
         sul.query_count = 0
+
+
+@pytest.mark.parametrize("k", [2 ** 31 + 5, 2 ** 32 - 1])
+def test_choice_blocks_pick_like_random_choice_past_any_real_alphabet(k):
+    # no alphabet this wide fits in memory, so check the symbol numbers:
+    # each try is a whole 32-bit word, and at 2**31 + 5 about half drop
+    n, twin = 7, random.Random(k)
+    blocks = _choice_blocks(n, k, random.Random(k))
+    picked = 0
+    while picked < 2 * DRAW_BLOCK_WORDS:
+        block = next(blocks)
+        assert len(block) % n == 0
+        assert list(block) == [twin.choice(range(k)) for _ in block]
+        picked += len(block)
 
 
 @pytest.mark.parametrize("adapter", [MachineSafetyQuery, BlackBox])

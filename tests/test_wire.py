@@ -166,7 +166,7 @@ def test_stdio_black_box_agrees_with_in_process():
     with RemoteSafetyQuery(cfg) as remote:
         assert remote.input_alphabet == machine.inputs
         for _ in range(1000):
-            seq = local.random_input(rng.randint(1, 10), rng)
+            seq = rng.choices(local.input_alphabet, k=rng.randint(1, 10))
             assert remote.is_safe(seq) == local.is_safe(seq)
         assert remote.query_count == 1000
 
@@ -181,7 +181,7 @@ def test_tcp_black_box_agrees_with_in_process():
     with RemoteSafetyQuery(cfg) as remote:
         assert remote.input_alphabet == machine.inputs
         for _ in range(200):
-            seq = local.random_input(rng.randint(1, 6), rng)
+            seq = rng.choices(local.input_alphabet, k=rng.randint(1, 6))
             assert remote.is_safe(seq) == local.is_safe(seq)
     server.join(5)
     assert not server.is_alive()
@@ -334,7 +334,7 @@ def test_a_query_longer_than_the_write_ahead_window_is_answered():
     # blocked writing replies nobody reads
     machine = build_alks(False)
     local = MachineSafetyQuery(machine)
-    seq = local.random_input(50_000, random.Random(5))
+    seq = random.Random(5).choices(local.input_alphabet, k=50_000)
     want = local.is_safe(seq)
     cfg = BlackBoxConfig(command=SERVE_WTO,
                          unsafe_outputs=frozenset({"alarm"}),
@@ -358,7 +358,7 @@ def test_counters_on_one_session():
     local = MachineSafetyQuery(machine)
     rng = random.Random(8)
     n, q = 6, 40
-    seqs = [local.random_input(n, rng) for _ in range(q)]
+    seqs = [rng.choices(local.input_alphabet, k=n) for _ in range(q)]
     replies = _ModelSession(machine)
     requests = ["ALPHABET"]
     for seq in seqs:
@@ -454,7 +454,7 @@ def test_a_peer_that_delays_small_writes_does_not_stall_each_query():
     # until the first is acked; a delayed ack would cost ~40 ms a query
     local = MachineSafetyQuery(build_alks(False))
     rng = random.Random(13)
-    seqs = [local.random_input(5, rng) for _ in range(100)]
+    seqs = [rng.choices(local.input_alphabet, k=5) for _ in range(100)]
     with _FakePeer(5, _one_reply_at_a_time) as peer:
         with RemoteSafetyQuery(_peer_config(peer, max_retries=0)) as remote:
             started = time.monotonic()
@@ -471,7 +471,7 @@ def test_replies_split_or_joined_anyhow_give_the_in_process_verdict(write):
     with _FakePeer(4, write) as peer:
         with RemoteSafetyQuery(_peer_config(peer, max_retries=0)) as remote:
             for _ in range(60):
-                seq = local.random_input(4, rng)
+                seq = rng.choices(local.input_alphabet, k=4)
                 assert remote.is_safe(seq) == local.is_safe(seq)
             assert remote.writes == 61
 
