@@ -333,8 +333,7 @@ def _diff_text(checks: Sequence[CellCheck], coffee_lines: Sequence[str]) -> str:
 
 
 def reproduce_table(seed: int = DEFAULT_SEED,
-                    sample_budget: int = TABLE_BUDGET,
-                    include_coffee_note: bool = True) -> TableReproduction:
+                    sample_budget: int = TABLE_BUDGET) -> TableReproduction:
     """Re-run the eight lane-keeping table rows and diff the results.
 
     Each row derives its own seed from the master seed and the row
@@ -352,21 +351,17 @@ def reproduce_table(seed: int = DEFAULT_SEED,
             reports.append(report)
             checks.extend(_check_row(report))
 
-    coffee_lines: list[str] = []
-    if include_coffee_note:
-        coffee = BUNDLED["coffee"]()
-        coffee_seed = derive_seed(seed, "row:coffee:n=5")
-        coffee_report = analyze(coffee, horizon=5, model_name="coffee",
-                                sample_budget=sample_budget,
-                                seed=coffee_seed)
-        coffee_lines = [
-            "coffee machine (best-effort reconstruction, not asserted):",
-            f"  learned covered count at n=5: "
-            f"{coffee_report.covered_used}",
-            f"  exact safe paths of the reconstruction: "
-            f"{coffee_report.exact_safe_paths}",
-            f"  previously reported count: {COFFEE_REFERENCE_COVERED}",
-        ]
+    coffee = BUNDLED["coffee"]()
+    coffee_seed = derive_seed(seed, "row:coffee:n=5")
+    coffee_report = analyze(coffee, horizon=5, model_name="coffee",
+                            sample_budget=sample_budget, seed=coffee_seed)
+    coffee_lines = [
+        "coffee machine (best-effort reconstruction, not asserted):",
+        f"  learned covered count at n=5: {coffee_report.covered_used}",
+        f"  exact safe paths of the reconstruction: "
+        f"{coffee_report.exact_safe_paths}",
+        f"  previously reported count: {COFFEE_REFERENCE_COVERED}",
+    ]
 
     csv_text = reports_to_csv(reports)
     all_ok = all(c.ok for c in checks if c.tolerance is not None)

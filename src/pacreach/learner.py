@@ -121,9 +121,10 @@ def query_oracle(sul: SafetyQuery, candidate: Monomial,
     safe (stops at the first safe one; unsound, see module docstring).
 
     A candidate whose expansion exceeds ``DEFAULT_ORACLE_EXPANSION_CAP``
-    is rejected with a logged warning rather than queried: "too big to
-    check" must degrade to "keep the binding", never to a fabricated
-    verdict. A bound symbol outside the alphabet is a ValidationError.
+    is rejected, and logged at INFO (``-v`` shows it), rather than
+    queried: "too big to check" must degrade to "keep the binding",
+    never to a fabricated verdict. A bound symbol outside the alphabet
+    is a ValidationError.
     Past these checks the adapter answers the whole candidate
     (``SafetyQuery.answer_monomial``).
     """
@@ -131,7 +132,7 @@ def query_oracle(sul: SafetyQuery, candidate: Monomial,
         raise ValidationError(f"unknown oracle semantics {semantics!r}")
     size = candidate.expansion_size(len(sul.input_alphabet))
     if size > DEFAULT_ORACLE_EXPANSION_CAP:
-        log.warning(
+        log.info(
             "not generalizing %s: expansion of %d sequences exceeds cap %d",
             candidate, size, DEFAULT_ORACLE_EXPANSION_CAP)
         return False

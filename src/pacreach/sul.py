@@ -3,9 +3,11 @@
 SafetyQuery abstracts over where the answer comes from. The in-process
 adapter wraps a MealyMachine and reads the verdict off the final state;
 the wire adapter (see wire.py) drives an external process or socket and
-classifies the final output token. The learner, the Monte Carlo
-baseline and the CLI all talk to this interface only, so a model file
-and a live black box are interchangeable.
+classifies the final output token. Every adapter fixes its input
+alphabet when it is built: the machine's declared inputs, or the wire's
+ALPHABET handshake. The learner, the Monte Carlo baseline and the CLI
+all talk to this interface only, so a model file and a live black box
+are interchangeable.
 
 Random input runs come from ``SafetyQuery.draws``: the sequences that
 ``rng.choice`` would pick, symbol by symbol, read from the generator in
@@ -19,7 +21,6 @@ from __future__ import annotations
 import random
 import sys
 from abc import ABC, abstractmethod
-from functools import cached_property
 from typing import Iterator, Sequence
 
 from .errors import ValidationError
@@ -35,6 +36,10 @@ DRAW_BLOCK_WORDS = 4096
 class SafetyQuery(ABC):
     """Deterministic safety membership queries over a fixed input alphabet.
 
+    The alphabet is fixed when the adapter is built: a subclass passes it
+    to ``__init__``, which keeps it as the tuple ``input_alphabet`` (its
+    order is canonical) and raises ValidationError if it is empty.
+
     ``query_count`` counts answered queries; failed queries (transport
     errors and the like) do not count. ``is_safe`` answers one and adds
     1, and so does each item taken from ``draws``. ``answer_monomial``
@@ -45,22 +50,16 @@ class SafetyQuery(ABC):
     the same verdict.
     """
 
-    def __init__(self):
+    def __init__(self, input_alphabet: Sequence[str]):
+        self.input_alphabet = tuple(input_alphabet)
+        if not self.input_alphabet:
+            raise ValidationError("input alphabet is empty")
+        self._symbol_set = frozenset(self.input_alphabet)
         self.query_count = 0
-
-    @property
-    @abstractmethod
-    def input_alphabet(self) -> tuple[str, ...]:
-        """The ordered input alphabet; the order is canonical."""
 
     @abstractmethod
     def _answer(self, seq: tuple[str, ...]) -> bool:
         """Produce the verdict for one sequence."""
-
-    @cached_property
-    def _symbol_set(self) -> frozenset[str]:
-        # built once: an adapter's alphabet is fixed after construction
-        return frozenset(self.input_alphabet)
 
     def is_safe(self, seq: Sequence[str]) -> bool:
         symbols = tuple(seq)
@@ -95,10 +94,12 @@ class SafetyQuery(ABC):
 
         ``rng`` is read in blocks of ``DRAW_BLOCK_WORDS`` words, so its
         state afterwards is not that of the twin: pass a generator that
-        nothing else reads. A bad horizon or an empty alphabet raises
-        ValidationError here, before ``rng`` is read.
+        nothing else reads. A bad horizon raises ValidationError here,
+        before ``rng`` is read.
         """
-        alphabet = self._draw_alphabet(n)
+        if n < 1:
+            raise ValidationError(f"horizon must be >= 1, got {n}")
+        alphabet = self.input_alphabet
         return self._draws(n, alphabet, _choice_blocks(n, len(alphabet), rng))
 
     def _draws(self, n, alphabet, blocks):
@@ -107,14 +108,6 @@ class SafetyQuery(ABC):
             for start in range(0, len(block), n):
                 seq = _symbols(alphabet, block[start:start + n])
                 yield self.is_safe(seq), seq
-
-    def _draw_alphabet(self, n: int) -> tuple[str, ...]:
-        if n < 1:
-            raise ValidationError(f"horizon must be >= 1, got {n}")
-        alphabet = self.input_alphabet
-        if not alphabet:
-            raise ValidationError("input alphabet is empty")
-        return alphabet
 
 
 def _symbols(alphabet: tuple[str, ...], numbers) -> tuple[str, ...]:
@@ -187,7 +180,7 @@ class MachineSafetyQuery(SafetyQuery):
     """
 
     def __init__(self, machine: MealyMachine):
-        super().__init__()
+        super().__init__(machine.inputs)
         self.machine = machine
         number = {s: k for k, s in enumerate(machine.states)}
         self._succ = {
@@ -206,10 +199,6 @@ class MachineSafetyQuery(SafetyQuery):
         # _preimage memoised: (symbol or None, mask) -> mask, filled as
         # the backward pass meets them, at most (|I| + 1) * 2^|S| entries
         self._image = {}
-
-    @property
-    def input_alphabet(self) -> tuple[str, ...]:
-        return self.machine.inputs
 
     def _answer(self, seq: tuple[str, ...]) -> bool:
         state = self._initial

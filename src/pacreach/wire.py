@@ -65,6 +65,10 @@ READ_BYTES = 65536
 
 _RESET = b"RESET\n"
 
+# Longest wait, in seconds, that a selector can make: epoll waits at
+# most 2**31 - 1 ms, about 24.8 days.
+MAX_TIMEOUT = (2 ** 31 - 1) / 1000
+
 
 def parse_host_port(address: str) -> tuple[str, int]:
     """Split a HOST:PORT address; the port is a decimal number up to 65535."""
@@ -84,7 +88,7 @@ class BlackBoxConfig:
     string) must be set. ``timeout`` bounds, in seconds, each wait for
     the next reply line (and a TCP connect), not a whole query: a query
     of n steps may take up to n + 1 timeouts while its replies keep
-    coming.
+    coming. It must lie in ``(0, MAX_TIMEOUT]``.
     """
 
     command: str | None = None
@@ -111,8 +115,10 @@ class BlackBoxConfig:
             raise ValidationError(
                 "unsafe_outputs must be non-empty: the verdict is computed "
                 "from output tokens")
-        if self.timeout <= 0:
-            raise ValidationError("timeout must be positive")
+        if not 0 < self.timeout <= MAX_TIMEOUT:
+            raise ValidationError(
+                f"timeout must be in (0, {MAX_TIMEOUT}] seconds, "
+                f"got {self.timeout}")
         if self.max_retries < 0:
             raise ValidationError("max_retries must be >= 0")
 
@@ -245,7 +251,6 @@ class RemoteSafetyQuery(SafetyQuery):
     """
 
     def __init__(self, config: BlackBoxConfig):
-        super().__init__()
         self.config = config
         self.requests = 0
         self.writes = 0
@@ -255,10 +260,10 @@ class RemoteSafetyQuery(SafetyQuery):
         self.bytes_received = 0
         self._connected_before = False
         self._channel: _Channel | None = None
-        self._alphabet = self._with_retries(self._request_alphabet)
+        super().__init__(self._with_retries(self._request_alphabet))
         # each STEP line is encoded once, not once per query
         self._steps = {sym: f"STEP {sym}\n".encode("utf-8")
-                       for sym in self._alphabet}
+                       for sym in self.input_alphabet}
 
     # -- plumbing ------------------------------------------------------------
 
@@ -355,10 +360,6 @@ class RemoteSafetyQuery(SafetyQuery):
                 or len(set(symbols)) < len(symbols)):
             raise TransportError(f"bad ALPHABET reply: {' '.join(tokens)}")
         return tuple(symbols)
-
-    @property
-    def input_alphabet(self) -> tuple[str, ...]:
-        return self._alphabet
 
     def _answer(self, seq: tuple[str, ...]) -> bool:
         requests = [_RESET, *map(self._steps.__getitem__, seq)]

@@ -26,8 +26,7 @@ from pacreach.sul import MachineSafetyQuery
 
 @pytest.fixture(scope="module")
 def table():
-    return reproduce_table(seed=7, sample_budget=1000,
-                           include_coffee_note=False)
+    return reproduce_table(seed=7, sample_budget=1000)
 
 
 def test_criterion_1_exact_census_matches_the_reported_counts():

@@ -248,6 +248,44 @@ def test_exit_code_for_a_peer_sending_invalid_utf8(capsys):
     assert "not UTF-8" in err
 
 
+@pytest.mark.parametrize("timeout", ["nan", "inf", "-inf", "0", "-1", "3e6"])
+def test_a_timeout_a_selector_cannot_wait_exits_cleanly(capsys, timeout):
+    code, out, err = run_cli(capsys, "analyze", "--cmd", SERVE_WTO,
+                             "--unsafe-outputs", "alarm", "-n", "3",
+                             "-L", "5", f"--timeout={timeout}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: timeout must be in (0, 2147483.647] ")
+    assert "Traceback" not in err
+
+
+# Runs the CLI with the oracle's expansion cap at 1, so every candidate
+# with a free position is refused. It runs in a child so that Python's
+# last-resort handler, not pytest's log capture, decides what reaches
+# stderr without -v.
+CAPPED = """\
+import sys
+from pacreach import learner
+from pacreach.cli import main
+learner.DEFAULT_ORACLE_EXPANSION_CAP = 1
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("verbose", [[], ["-v"]])
+def test_a_capped_oracle_is_logged_only_with_verbose(verbose):
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED, *verbose, "analyze", "--model",
+         "alks_without", "-n", "3", "-L", "30", "--seed", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    if verbose:
+        assert "pacreach.learner: not generalizing" in proc.stderr
+        assert "exceeds cap 1" in proc.stderr
+    else:
+        assert proc.stderr == ""
+
+
 # A --cmd child: appends its pid to a file and serves a model. Given a
 # request count, the first child exits after that many requests and
 # every later one exits at once.

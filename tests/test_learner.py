@@ -86,7 +86,7 @@ def test_query_oracle_expansion_cap_refuses_not_fabricates(caplog,
     monkeypatch.setattr(learner, "DEFAULT_ORACLE_EXPANSION_CAP", 10)
     sul = MachineSafetyQuery(BUNDLED["all_safe"]())
     candidate = Monomial.from_map(5, {1: "i0"})
-    with caplog.at_level(logging.WARNING, logger="pacreach.learner"):
+    with caplog.at_level(logging.INFO, logger="pacreach.learner"):
         verdict = query_oracle(sul, candidate)
     assert verdict is False
     assert sul.query_count == 0
@@ -240,7 +240,7 @@ def test_expansion_cap_degrades_to_fully_bound_monomials(caplog,
                                                         monkeypatch):
     monkeypatch.setattr(learner, "DEFAULT_ORACLE_EXPANSION_CAP", 1)
     sul = MachineSafetyQuery(build_alks(False))
-    with caplog.at_level(logging.WARNING, logger="pacreach.learner"):
+    with caplog.at_level(logging.INFO, logger="pacreach.learner"):
         learned, stats = learn_safe_set(
             sul, LearnerConfig(horizon=3, sample_budget=30, rng_seed=1))
     assert all(None not in m.symbols for m in learned)
@@ -254,12 +254,8 @@ class _DropsMidOracle(SafetyQuery):
     """Answers one query, then behaves like a dead connection."""
 
     def __init__(self):
-        super().__init__()
+        super().__init__(("a", "b"))
         self._answered = False
-
-    @property
-    def input_alphabet(self):
-        return ("a", "b")
 
     def _answer(self, seq):
         if self._answered:
@@ -278,13 +274,9 @@ class _BlackBox(SafetyQuery):
     """A machine reached through ``is_safe`` only, counting its answers."""
 
     def __init__(self, machine):
-        super().__init__()
+        super().__init__(machine.inputs)
         self.machine = machine
         self.answers = 0
-
-    @property
-    def input_alphabet(self):
-        return self.machine.inputs
 
     def _answer(self, seq):
         self.answers += 1

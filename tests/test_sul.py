@@ -23,12 +23,8 @@ class BlackBox(SafetyQuery):
     """A machine reached through ``is_safe`` only: the default ``draws``."""
 
     def __init__(self, machine):
-        super().__init__()
+        super().__init__(machine.inputs)
         self.machine = machine
-
-    @property
-    def input_alphabet(self):
-        return self.machine.inputs
 
     def _answer(self, seq):
         return self.machine.trace(seq).safe
@@ -118,18 +114,22 @@ def test_draws_check_the_horizon_before_reading_the_generator(adapter):
     assert sul.query_count == 0
 
 
-def test_draws_reject_an_empty_alphabet_before_reading_the_generator():
+def test_an_adapter_is_built_with_a_non_empty_alphabet():
     class NoInputs(SafetyQuery):
-        input_alphabet = ()
+        def __init__(self, inputs):
+            super().__init__(inputs)
 
         def _answer(self, seq):
             return True
 
-    rng = random.Random(0)
-    state = rng.getstate()
-    with pytest.raises(ValidationError, match="empty"):
-        NoInputs().draws(3, rng)
-    assert rng.getstate() == state
+    for empty in ((), [], iter(())):
+        with pytest.raises(ValidationError,
+                           match="^input alphabet is empty$"):
+            NoInputs(empty)
+    sul = NoInputs(iter(["a", "b"]))
+    assert sul.input_alphabet == ("a", "b")
+    assert sul._symbol_set == frozenset({"a", "b"})
+    assert sul.query_count == 0
 
 
 @st.composite

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from pacreach.errors import TransportError, ValidationError
 from pacreach.models import BUNDLED, build_alks
 from pacreach.sul import MachineSafetyQuery
-from pacreach.wire import (WRITE_AHEAD_BYTES, BlackBoxConfig,
+from pacreach.wire import (MAX_TIMEOUT, WRITE_AHEAD_BYTES, BlackBoxConfig,
                            RemoteSafetyQuery, _ModelSession, parse_host_port,
                            serve_stdio, serve_tcp)
 
@@ -142,6 +142,20 @@ def test_config_validation():
         with pytest.raises(ValidationError, match="HOST:PORT"):
             parse_host_port(address)
     assert parse_host_port("::1:0") == ("::1", 0)
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"),
+                                     float("-inf"), 0, -1, 3e6])
+def test_config_rejects_a_timeout_a_selector_cannot_wait(timeout):
+    with pytest.raises(ValidationError, match="^timeout must be in "):
+        BlackBoxConfig(command="x", unsafe_outputs=frozenset({"b"}),
+                       timeout=timeout)
+
+
+def test_config_accepts_the_longest_timeout_a_selector_can_wait():
+    config = BlackBoxConfig(command="x", unsafe_outputs=frozenset({"b"}),
+                            timeout=MAX_TIMEOUT)
+    assert config.timeout == (2 ** 31 - 1) / 1000
 
 
 def test_session_protocol_unit():
