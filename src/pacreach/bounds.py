@@ -63,9 +63,9 @@ def required_samples(inverse_error: float, positives: int) -> int:
     Exact: the product is formed as a rational number of the float
     inputs, so the ceiling never suffers double rounding.
     """
-    if not inverse_error > 1.0:
-        raise ValidationError(
-            f"inverse error rate must exceed 1, got {inverse_error}")
+    if not 1.0 < inverse_error < math.inf:
+        raise ValidationError(f"inverse error rate must be finite and "
+                              f"exceed 1, got {inverse_error}")
     if positives < 0:
         raise ValidationError(f"positives must be >= 0, got {positives}")
     rate = Fraction(inverse_error)

@@ -107,10 +107,9 @@ class MonomialSet:
 
     ``add`` also keeps a member index that ``implies`` and
     ``count_exact`` both read. Member i is bit i of a mask. Per step,
-    0-indexed, the index holds the members that leave the step free,
-    per symbol the members that bind it, and the members with no bound
-    step at or after it. Entry n stands for the end of the sequence:
-    every member is done there, and none binds or frees it.
+    0-indexed, the index holds the members that leave the step free and,
+    per symbol, the members that bind it. ``count_exact`` derives from
+    it which members have no bound step left.
     """
 
     horizon: int
@@ -120,12 +119,10 @@ class MonomialSet:
     _free: list[int] = field(init=False, repr=False, compare=False)
     _bound: list[dict[str, int]] = field(init=False, repr=False,
                                          compare=False)
-    _done: list[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._free = [0] * (self.horizon + 1)
-        self._bound = [{} for _ in range(self.horizon + 1)]
-        self._done = [0] * (self.horizon + 1)
+        self._free = [0] * self.horizon
+        self._bound = [{} for _ in range(self.horizon)]
         given, self.monomials = self.monomials, []
         for m in given:
             self.add(m)
@@ -137,15 +134,11 @@ class MonomialSet:
         if m in self._members:
             raise ValidationError(f"duplicate monomial {m}")
         bit = 1 << len(self.monomials)
-        last = 0
         for pos, sym in enumerate(m.symbols):
             if sym is None:
                 self._free[pos] |= bit
             else:
                 self._bound[pos][sym] = self._bound[pos].get(sym, 0) | bit
-                last = pos + 1
-        for pos in range(last, self.horizon + 1):
-            self._done[pos] |= bit
         self._members.add(m)
         self.monomials.append(m)
 
@@ -208,13 +201,18 @@ class MonomialSet:
         if unknown:
             raise ValidationError(f"bound symbols not in alphabet: {unknown}")
         k, n = len(alphabet), self.horizon
+        every = (1 << len(self.monomials)) - 1
+        # done[pos]: the members with no bound step at or after pos
+        done = [0] * n + [every]
+        for pos in range(n - 1, -1, -1):
+            done[pos] = done[pos + 1] & self._free[pos]
         total = 0
         visited = 0
-        frontier = {(1 << len(self.monomials)) - 1: 1}
+        frontier = {every: 1}
         for pos in range(n + 1):
             successors: dict[int, int] = {}
             for live, ways in frontier.items():
-                if live & self._done[pos]:
+                if live & done[pos]:
                     total += ways * k ** (n - pos)
                     continue
                 stay = live & self._free[pos]
@@ -245,13 +243,12 @@ class MonomialSet:
     @classmethod
     def from_text(cls, text: str) -> "MonomialSet":
         """Parse the report form: an ``n=`` header then one {..} per line."""
-        horizon: int | None = None
-        members: list[Monomial] = []
+        result: MonomialSet | None = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if horizon is None:
+            if result is None:
                 m = re.fullmatch(r"n\s*=\s*(\d+)", line)
                 if not m:
                     raise ParseError("expected 'n=<horizon>' header",
@@ -260,6 +257,7 @@ class MonomialSet:
                 if horizon < 1:
                     raise ParseError(f"horizon must be >= 1, got {horizon}",
                                      line=lineno)
+                result = cls(horizon, [])
                 continue
             if not (line.startswith("{") and line.endswith("}")):
                 raise ParseError("expected '{pos=sym, ...}'", line=lineno)
@@ -277,9 +275,9 @@ class MonomialSet:
                                          line=lineno)
                     bindings[pos] = bm.group(2)
             try:
-                members.append(Monomial.from_map(horizon, bindings))
+                result.add(Monomial.from_map(result.horizon, bindings))
             except ValidationError as exc:
                 raise ParseError(str(exc), line=lineno) from exc
-        if horizon is None:
+        if result is None:
             raise ParseError("missing 'n=<horizon>' header")
-        return cls(horizon, members)
+        return result

@@ -164,8 +164,7 @@ class MachineSafetyQuery(SafetyQuery):
 
     The machine is indexed once, here. States are numbered in declared
     order: ``_succ[sym][k]`` is the state number that ``sym`` leads to
-    from state k, and ``_pred[sym][k]`` the mask of states that ``sym``
-    leads to state k (``_pred[None]`` over the whole alphabet). Masks
+    from state k; it is the adapter's only transition table. Masks
     ``_safe`` and ``_unsafe`` split the states, and ``_initial`` is a
     number. A query folds ``_succ`` from ``_initial`` and reads one bit
     of ``_safe``; no output trace is built. ``draws`` folds the symbol
@@ -187,12 +186,6 @@ class MachineSafetyQuery(SafetyQuery):
             sym: [number[machine.transitions[(s, sym)][0]]
                   for s in machine.states]
             for sym in machine.inputs}
-        self._pred = {sym: [0] * len(machine.states)
-                      for sym in (*machine.inputs, None)}
-        for sym, succ in self._succ.items():
-            for k, dst in enumerate(succ):
-                self._pred[sym][dst] |= 1 << k
-                self._pred[None][dst] |= 1 << k
         self._initial = number[machine.initial]
         self._safe = sum(1 << number[s] for s in machine.safe_states)
         self._unsafe = (1 << len(machine.states)) - 1 - self._safe
@@ -224,12 +217,11 @@ class MachineSafetyQuery(SafetyQuery):
 
     def _preimage(self, sym: str | None, mask: int) -> int:
         """The mask of states from which ``sym`` (any symbol, for None)
-        leads into ``mask``."""
-        pred, into = self._pred[sym], 0
-        while mask:
-            low = mask & -mask
-            into |= pred[low.bit_length() - 1]
-            mask ^= low
+        leads into ``mask``, read off ``_succ``."""
+        into = 0
+        for succ in self._succ.values() if sym is None else [self._succ[sym]]:
+            for k, dst in enumerate(succ):
+                into |= (mask >> dst & 1) << k
         return into
 
     def answer_monomial(self, candidate: Monomial, want_all: bool) -> bool:

@@ -135,7 +135,6 @@ class _Channel:
     """
 
     def __init__(self, fileno: int, recv, send, close, counters):
-        self._fileno = fileno
         self._recv = recv
         self._send = send
         self._close = close

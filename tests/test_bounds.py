@@ -30,6 +30,12 @@ def test_required_samples_domain():
         required_samples(2.0, -1)
 
 
+@pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+def test_required_samples_rejects_a_non_finite_rate(rate):
+    with pytest.raises(ValidationError, match="inverse error rate"):
+        required_samples(rate, 5)
+
+
 def test_required_samples_is_minimal():
     # L-1 must violate the bound, L must satisfy it
     for rate, d in [(1.83, 272), (25, 17), (2.0, 0), (7.5, 1234)]:

@@ -490,6 +490,16 @@ def test_sample_size_argument_validation(capsys):
     assert "exactly one" in err
 
 
+@pytest.mark.parametrize("rate", ["inf", "-inf", "nan"])
+def test_sample_size_with_a_non_finite_rate_exits_2(capsys, rate):
+    code, out, err = run_cli(capsys, "sample-size", f"--inverse-error={rate}",
+                             "--d-bound", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: inverse error rate must be finite")
+    assert err.count("\n") == 1
+
+
 def test_confidence_subcommand(capsys):
     code, out, _ = run_cli(capsys, "confidence", "-L", "1000",
                            "--d-bound", "17")

@@ -152,6 +152,27 @@ def test_count_exact_empty_set():
     assert MonomialSet(4, ()).count_exact(("a", "b")) == 0
 
 
+@pytest.mark.parametrize("members,expected", [
+    ((mono(4, {}),), 3 ** 4),  # no bound step: done from the start
+    ((mono(4, {4: "b"}),), 3 ** 3),  # bound only at step n
+    ((mono(4, {4: "b"}), mono(4, {1: "a"})), 2 * 3 ** 3 - 3 ** 2),
+])
+def test_count_exact_at_the_ends_of_the_horizon(members, expected):
+    alphabet = ("a", "b", "c")
+    g = MonomialSet(4, members)
+    covered = sum(1 for seq in itertools.product(alphabet, repeat=4)
+                  if g.covers(seq))
+    assert g.count_exact(alphabet) == covered == expected
+
+
+def test_a_member_with_no_bound_step_is_counted_without_a_walk(monkeypatch):
+    # such a member is done at step 1, so no (position, live set) state
+    # is visited and even a cap of 0 is not exceeded
+    monkeypatch.setattr("pacreach.monomials.DEFAULT_COUNT_CAP", 0)
+    g = MonomialSet(3, (mono(3, {1: "a", 3: "b"}), mono(3, {})))
+    assert g.count_exact(("a", "b")) == 2 ** 3
+
+
 def _random_sets(seed, how_many, n, alphabet, max_members):
     import random
     rng = random.Random(seed)
@@ -285,3 +306,5 @@ def test_text_parse_errors():
         MonomialSet.from_text("n=3\n{1=a, 1=b}\n")  # bound twice
     with pytest.raises(ParseError, match="line 1"):
         MonomialSet.from_text("n=0\n")  # empty horizon
+    with pytest.raises(ParseError, match="line 3"):
+        MonomialSet.from_text("n=2\n{1=a}\n{1=a}\n")  # duplicate member
