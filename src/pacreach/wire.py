@@ -1,7 +1,8 @@
 """Line protocol for querying an external black-box system.
 
-The conversation is newline-delimited UTF-8, over either a subprocess's
-stdio or a TCP socket:
+The conversation is newline-delimited UTF-8 over one stream socket: a
+TCP connection, or a connected Unix socket whose other end a subprocess
+gets as both its stdin and its stdout:
 
     -> ALPHABET            <- OK l r s
     -> RESET               <- OK
@@ -19,15 +20,17 @@ reads. The client checks the replies each read brings as soon as it
 arrives, so a bad reply fails without waiting for the rest of the
 window; the timeout bounds each wait for the next reply line. The
 verdict is the FINAL output token checked against the configured
-unsafe set. Anything else coming back, a timeout or a closed pipe
+unsafe set. Anything else coming back, a timeout or a closed connection
 anywhere in the batch is a transport error, and the client drops
-the connection, so no stale reply reaches the next query. A lost
-connection (a timeout, a closed pipe, a failed read or write, a failed
-TCP connect) is retried on a fresh connection a bounded number of times
-before the client gives up loudly. A peer that breaks the protocol, or
-a command that cannot be started, fails at once: a fresh connection
-would meet the same fault. The client never invents a verdict: the
-learning guarantee assumes every answered query is answered correctly.
+the connection, so no stale reply reaches the next query. A subprocess
+that closes only its stdin still holds the connection; its exit closes
+it. A lost connection (a timeout, a closed connection, a failed read or
+write, a failed TCP connect) is retried on a fresh connection a bounded
+number of times before the client gives up loudly. A peer that breaks
+the protocol, or a command that cannot be started, fails at once: a
+fresh connection would meet the same fault. The client never invents a
+verdict: the learning guarantee assumes every answered query is
+answered correctly.
 
 The server half drives a MealyMachine over the same protocol so the
 black-box path can be exercised against a known model. It answers all
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import logging
 import os
-import selectors
 import shlex
 import socket
 import subprocess
@@ -56,7 +58,7 @@ __all__ = ["BlackBoxConfig", "RemoteSafetyQuery", "parse_host_port",
 log = logging.getLogger(__name__)
 
 # Most request bytes the client has sent and not yet had answered. Kept
-# well under the smallest pipe or socket buffer, so a write of one window
+# well under the smallest socket buffer, so a write of one window
 # always completes without the peer reading.
 WRITE_AHEAD_BYTES = 4096
 
@@ -65,8 +67,7 @@ READ_BYTES = 65536
 
 _RESET = b"RESET\n"
 
-# Longest wait, in seconds, that a selector can make: epoll waits at
-# most 2**31 - 1 ms, about 24.8 days.
+# Longest timeout accepted, in seconds: 2**31 - 1 ms, about 24.8 days.
 MAX_TIMEOUT = (2 ** 31 - 1) / 1000
 
 
@@ -128,25 +129,27 @@ class _ConnectionLost(TransportError):
 
 
 class _Channel:
-    """One live connection with line-oriented, deadline-bounded reads.
+    """One live connection: a stream socket, with line-oriented,
+    deadline-bounded reads.
 
+    For a command the socket's other end is the child ``proc``'s stdin
+    and stdout; ``close`` ends the child before it closes the socket.
     ``counters`` (the owning RemoteSafetyQuery) is charged for every
     write and every byte in either direction.
     """
 
-    def __init__(self, fileno: int, recv, send, close, counters):
-        self._recv = recv
-        self._send = send
-        self._close = close
+    def __init__(self, sock: socket.socket, proc, counters):
+        self._sock = sock
+        self._proc = proc
         self._counters = counters
         self._buf = b""
-        self._sel = selectors.DefaultSelector()
-        self._sel.register(fileno, selectors.EVENT_READ)
+        self._quickack = (None if sock.family == socket.AF_UNIX
+                          else getattr(socket, "TCP_QUICKACK", None))  # Linux
 
     def send(self, data: bytes):
         try:
-            self._send(data)
-        except (BrokenPipeError, ConnectionError, OSError) as exc:
+            self._sock.sendall(data)
+        except OSError as exc:
             raise _ConnectionLost(f"write failed: {exc}") from exc
         self._counters.writes += 1
         self._counters.bytes_sent += len(data)
@@ -161,14 +164,22 @@ class _Channel:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise _ConnectionLost(f"no response within {timeout:g}s")
-                if not self._sel.select(remaining):
-                    continue
+                self._sock.settimeout(remaining)
                 try:
-                    chunk = self._recv(READ_BYTES)
-                except (ConnectionError, OSError) as exc:
+                    chunk = self._sock.recv(READ_BYTES)
+                except TimeoutError:
+                    continue
+                except OSError as exc:
                     raise _ConnectionLost(f"read failed: {exc}") from exc
                 if not chunk:
                     raise _ConnectionLost("connection closed by peer")
+                if self._quickack is not None:
+                    # Ack at once. A peer that holds back small writes
+                    # until the last one is acked (Nagle) would otherwise
+                    # stall each batch of replies for a delayed ack,
+                    # about 40 ms.
+                    self._sock.setsockopt(
+                        socket.IPPROTO_TCP, self._quickack, 1)
                 self._counters.bytes_received += len(chunk)
                 self._buf += chunk
                 if b"\n" in chunk:
@@ -180,43 +191,31 @@ class _Channel:
         return bool(self._buf)
 
     def close(self):
-        self._sel.close()
-        self._close()
+        try:
+            if self._proc is not None:
+                self._proc.terminate()
+                self._proc.wait(timeout=2)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        finally:
+            self._sock.close()
 
 
 def _connect(config: BlackBoxConfig, counters) -> _Channel:
     if config.command is not None:
+        sock, child_end = socket.socketpair()
         try:
             proc = subprocess.Popen(
-                config.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                config.argv, stdin=child_end, stdout=child_end,
                 stderr=subprocess.DEVNULL)
         except OSError as exc:
+            sock.close()
             raise TransportError(f"cannot start {config.command}: {exc}") \
                 from exc
-        assert proc.stdin is not None and proc.stdout is not None
-        stdin, stdout = proc.stdin, proc.stdout
-
-        def send(data: bytes):
-            stdin.write(data)
-            stdin.flush()
-
-        def close():
-            try:
-                proc.terminate()
-                proc.wait(timeout=2)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-            finally:
-                stdout.close()
-                try:
-                    stdin.close()
-                except OSError:
-                    pass  # a failed write left bytes for a child now gone
-
-        return _Channel(stdout.fileno(),
-                        lambda n: os.read(stdout.fileno(), n), send, close,
-                        counters)
+        finally:
+            child_end.close()
+        return _Channel(sock, proc, counters)
 
     assert config.address is not None
     host, port = parse_host_port(config.address)
@@ -225,19 +224,7 @@ def _connect(config: BlackBoxConfig, counters) -> _Channel:
     except OSError as exc:
         raise _ConnectionLost(f"cannot connect to {config.address}: {exc}") \
             from exc
-    sock.setblocking(True)
-    quickack = getattr(socket, "TCP_QUICKACK", None)  # Linux only
-
-    def recv(n: int) -> bytes:
-        data = sock.recv(n)
-        if quickack is not None:
-            # Ack at once. A peer that holds back small writes until the
-            # last one is acked (Nagle) would otherwise stall each batch
-            # of replies for a delayed ack, about 40 ms.
-            sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
-        return data
-
-    return _Channel(sock.fileno(), recv, sock.sendall, sock.close, counters)
+    return _Channel(sock, None, counters)
 
 
 class RemoteSafetyQuery(SafetyQuery):
@@ -451,7 +438,8 @@ def serve_stdio(machine: MealyMachine, stdin=None, stdout=None):
     line. By default the server reads the raw bytes of ``sys.stdin``,
     so a request that is not UTF-8 gets an ``ERR`` reply instead of
     stopping it, and writes UTF-8 to ``sys.stdout`` whatever the
-    locale. A reader that goes away ends the session as EOF does.
+    locale. A reader that goes away, closing the pipe or resetting the
+    connection, ends the session as EOF does.
     """
     own_stdout = stdout is None
     stdin = stdin if stdin is not None else sys.stdin.buffer
@@ -468,7 +456,7 @@ def serve_stdio(machine: MealyMachine, stdin=None, stdout=None):
 
     try:
         _serve_session(machine, batches, send)
-    except BrokenPipeError:
+    except (BrokenPipeError, ConnectionResetError):
         if own_stdout:
             # the replies still buffered can never be read: point the
             # descriptor at the null device, or the flush at exit fails

@@ -6,6 +6,7 @@ import shlex
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -675,3 +676,30 @@ def test_serve_model_stdio_ends_quietly_when_its_reader_goes_away():
             proc.wait()
         proc.stdin.close()
         proc.stderr.close()
+
+
+def test_serve_model_stdio_ends_quietly_when_its_reader_resets_it():
+    # a --cmd child's stdin and stdout are one socket; a client that
+    # leaves with replies unread resets it, so the next read fails
+    client, child_end = socket.socketpair()
+    with child_end:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pacreach.cli", "serve-model",
+             "--model", "alks_without", "--stdio"],
+            stdin=child_end, stdout=child_end, stderr=subprocess.PIPE)
+    try:
+        with client:
+            client.settimeout(30)
+            client.sendall(b"RESET\n" * 50)
+            replies = len(b"OK\n") * 50
+            deadline = time.monotonic() + 30
+            while len(client.recv(replies, socket.MSG_PEEK)) < replies:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+        assert b"Traceback" not in err
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()

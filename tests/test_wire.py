@@ -3,12 +3,14 @@ import io
 import logging
 import os
 import random
+import shlex
 import socket
 import struct
 import subprocess
 import sys
 import threading
 import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,9 @@ from pacreach.errors import TransportError, ValidationError
 from pacreach.models import BUNDLED, build_alks
 from pacreach.sul import MachineSafetyQuery
 from pacreach.wire import (MAX_TIMEOUT, WRITE_AHEAD_BYTES, BlackBoxConfig,
-                           RemoteSafetyQuery, _ModelSession, parse_host_port,
-                           serve_stdio, serve_tcp)
+                           RemoteSafetyQuery, _Channel, _ConnectionLost,
+                           _ModelSession, parse_host_port, serve_stdio,
+                           serve_tcp)
 
 SERVE_WTO = (f"{sys.executable} -m pacreach.cli serve-model "
              f"--model alks_without.machine --stdio")
@@ -275,15 +278,46 @@ def test_mid_run_hangup_is_transport_error_not_a_verdict():
 
 
 def test_writing_to_a_child_that_closed_its_stdin_is_transport_error():
-    # the failed write leaves bytes buffered; closing the pipe must not
-    # raise BrokenPipeError past the transport layer
+    # its stdout still holds the socket: the fault shows on the write if
+    # the child has exited, else on the read, as the exit resets the
+    # connection; no BrokenPipeError or ConnectionResetError escapes
     script = "import os\nos.close(0)\nprint('OK a b')"
     cfg = BlackBoxConfig(command=f"{sys.executable} -c \"{script}\"",
                          unsafe_outputs=frozenset({"bad"}),
                          timeout=2.0, max_retries=0)
     with RemoteSafetyQuery(cfg) as remote:
-        with pytest.raises(TransportError, match="write failed"):
+        with pytest.raises(TransportError, match="(write|read) failed"):
             remote.is_safe(["a"])
+
+
+def test_a_write_to_a_closed_connection_is_a_lost_connection():
+    counters = types.SimpleNamespace(writes=0, bytes_sent=0)
+    sock, peer = socket.socketpair()
+    peer.close()
+    with sock, pytest.raises(_ConnectionLost, match="^write failed: "):
+        _Channel(sock, None, counters).send(b"RESET\n")
+    assert counters.writes == counters.bytes_sent == 0
+
+
+def test_a_command_gets_one_socket_as_stdin_and_stdout():
+    script = ("import os, stat\n"
+              "fd0, fd1 = os.fstat(0), os.fstat(1)\n"
+              "kind = 'socket' if stat.S_ISSOCK(fd0.st_mode) else 'other'\n"
+              "same = 'same' if fd0.st_ino == fd1.st_ino else 'apart'\n"
+              "print('OK', kind, same, flush=True)\n")
+    cfg = BlackBoxConfig(command=shlex.join([sys.executable, "-c", script]),
+                         unsafe_outputs=frozenset({"bad"}), max_retries=0)
+    with RemoteSafetyQuery(cfg) as remote:
+        assert remote.input_alphabet == ("socket", "same")
+
+
+def test_a_channel_waits_at_the_longest_timeout():
+    counters = types.SimpleNamespace(bytes_received=0)
+    sock, peer = socket.socketpair()
+    with sock, peer:
+        peer.sendall(b"OK\n")
+        channel = _Channel(sock, None, counters)
+        assert channel.recv_lines(1, MAX_TIMEOUT) == [b"OK"]
 
 
 def test_a_child_that_ignores_sigterm_is_killed_and_reaped():
