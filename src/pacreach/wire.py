@@ -34,7 +34,10 @@ answered correctly.
 
 The server half drives a MealyMachine over the same protocol so the
 black-box path can be exercised against a known model. It answers all
-the complete requests one read brings, in order, with one write.
+the complete requests one read brings, in order, with one write. It
+answers each well-formed request by one lookup in a per-state table,
+built once per serve call from its own parser, and parses every other
+line.
 """
 
 from __future__ import annotations
@@ -368,35 +371,64 @@ class RemoteSafetyQuery(SafetyQuery):
 # -- server ------------------------------------------------------------------
 
 
-class _ModelSession:
-    """Protocol state for one client talking to one machine."""
+def _parse(machine: MealyMachine, state: str,
+           line: str | bytes) -> tuple[str, str]:
+    """Answer one request line in ``state``: (next state, reply)."""
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError:
+            return state, "ERR request is not UTF-8"
+    tokens = line.split()
+    if not tokens:
+        return state, "ERR empty request"
+    cmd, args = tokens[0], tokens[1:]
+    if cmd == "ALPHABET" and not args:
+        return state, "OK " + " ".join(machine.inputs)
+    if cmd == "RESET" and not args:
+        return machine.initial, "OK"
+    if cmd == "STEP" and len(args) == 1:
+        sym = args[0]
+        if sym not in machine.inputs:
+            return state, f"ERR unknown input {sym}"
+        state, out = machine.step(state, sym)
+        return state, f"OUT {out}"
+    return state, f"ERR unknown command {cmd}"
 
-    def __init__(self, machine: MealyMachine):
+
+def _answer_table(machine: MealyMachine) -> dict:
+    """Map each state to {request: `_parse` of it in that state}, for the
+    requests ``ALPHABET``, ``RESET`` and ``STEP <sym>``, as text and as
+    UTF-8 bytes."""
+    requests = ["ALPHABET", "RESET",
+                *(f"STEP {sym}" for sym in machine.inputs)]
+    requests += [request.encode("utf-8") for request in requests]
+    return {state: {request: _parse(machine, state, request)
+                    for request in requests}
+            for state in machine.states}
+
+
+class _ModelSession:
+    """Protocol state for one client talking to one machine.
+
+    A well-formed request (``ALPHABET``, ``RESET`` or ``STEP <sym>``,
+    spelled exactly so, as text or as UTF-8 bytes) is answered by one
+    lookup in ``table`` (by default `_answer_table` of ``machine``);
+    every other line is parsed. The table's entries are parses of its
+    keys, so a lookup never disagrees with a parse. The sessions of one
+    serve call share one table, and each keeps only its current state.
+    """
+
+    def __init__(self, machine: MealyMachine, table=None):
         self.machine = machine
         self.state = machine.initial
+        self._table = _answer_table(machine) if table is None else table
 
     def respond(self, line: str | bytes) -> str:
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError:
-                return "ERR request is not UTF-8"
-        tokens = line.split()
-        if not tokens:
-            return "ERR empty request"
-        cmd, args = tokens[0], tokens[1:]
-        if cmd == "ALPHABET" and not args:
-            return "OK " + " ".join(self.machine.inputs)
-        if cmd == "RESET" and not args:
-            self.state = self.machine.initial
-            return "OK"
-        if cmd == "STEP" and len(args) == 1:
-            sym = args[0]
-            if sym not in self.machine.inputs:
-                return f"ERR unknown input {sym}"
-            self.state, out = self.machine.step(self.state, sym)
-            return f"OUT {out}"
-        return f"ERR unknown command {cmd}"
+        hit = self._table[self.state].get(line)
+        self.state, reply = (hit if hit is not None
+                             else _parse(self.machine, self.state, line))
+        return reply
 
 
 def _read_batches(read1):
@@ -420,10 +452,9 @@ def _read_batches(read1):
         yield [b"".join(partial)]
 
 
-def _serve_session(machine: MealyMachine, batches, send):
+def _serve_session(session: _ModelSession, batches, send):
     """Answer each batch of request lines in order, sending the batch's
     replies, one line per request, with one call of ``send``."""
-    session = _ModelSession(machine)
     for batch in batches:
         send("".join([session.respond(line) + "\n" for line in batch]))
 
@@ -455,7 +486,7 @@ def serve_stdio(machine: MealyMachine, stdin=None, stdout=None):
         stdout.flush()
 
     try:
-        _serve_session(machine, batches, send)
+        _serve_session(_ModelSession(machine), batches, send)
     except (BrokenPipeError, ConnectionResetError):
         if own_stdout:
             # the replies still buffered can never be read: point the
@@ -478,6 +509,7 @@ def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
     one write. A connection error ends only the session it happens in.
     A socket that cannot bind or listen raises TransportError.
     """
+    table = _answer_table(machine)
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -499,7 +531,8 @@ def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
             try:
                 with conn:
                     _serve_session(
-                        machine, _read_batches(conn.recv),
+                        _ModelSession(machine, table),
+                        _read_batches(conn.recv),
                         lambda text: conn.sendall(text.encode("utf-8")))
             except OSError as exc:
                 log.warning("session with %s ended: %s", addr, exc)

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import io
 import logging
@@ -16,12 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pacreach.errors import TransportError, ValidationError
-from pacreach.models import BUNDLED, build_alks
+from pacreach.mealy import MealyMachine
+from pacreach.models import BUNDLED, build_alks, random_machine
 from pacreach.sul import MachineSafetyQuery
 from pacreach.wire import (MAX_TIMEOUT, WRITE_AHEAD_BYTES, BlackBoxConfig,
-                           RemoteSafetyQuery, _Channel, _ConnectionLost,
-                           _ModelSession, parse_host_port, serve_stdio,
-                           serve_tcp)
+                           RemoteSafetyQuery, _answer_table, _Channel,
+                           _ConnectionLost, _ModelSession, parse_host_port,
+                           serve_stdio, serve_tcp)
 
 SERVE_WTO = (f"{sys.executable} -m pacreach.cli serve-model "
              f"--model alks_without.machine --stdio")
@@ -174,6 +176,53 @@ def test_session_protocol_unit():
     assert session.respond("").startswith("ERR")
 
 
+def _parsed_only(machine):
+    """A session whose table is empty: it parses every request."""
+    return _ModelSession(machine, collections.defaultdict(dict))
+
+
+@pytest.mark.parametrize("machine", [
+    build_alks(True), build_alks(False), BUNDLED["coffee"](),
+    random_machine(6, 3, 0.3, seed=5, absorbing_unsafe=False)],
+    ids=["alks_with", "alks_without", "coffee", "random"])
+def test_a_table_lookup_answers_as_the_parse_does(machine):
+    text = ["ALPHABET", "RESET", *(f"STEP {sym}" for sym in machine.inputs)]
+    for state in machine.states:
+        for request in text + [request.encode() for request in text]:
+            looked_up, parsed = _ModelSession(machine), _parsed_only(machine)
+            looked_up.state = parsed.state = state
+            assert (looked_up.respond(request), looked_up.state) == \
+                (parsed.respond(request), parsed.state)
+
+
+def test_an_input_with_a_space_or_no_name_is_still_an_error():
+    # "STEP a b" splits into three tokens and "STEP " into one, so the
+    # parse rejects both; a table written from the inputs would not
+    machine = MealyMachine(
+        states=("q",), inputs=("a b", ""), outputs=("ok",),
+        transitions={("q", "a b"): ("q", "ok"), ("q", ""): ("q", "ok")},
+        initial="q", safe_states=frozenset({"q"}))
+    session = _ModelSession(machine)
+    for request in ("STEP a b", b"STEP a b", "STEP ", b"STEP "):
+        assert session.respond(request) == "ERR unknown command STEP"
+        assert _parsed_only(machine).respond(request) == \
+            "ERR unknown command STEP"
+
+
+def test_a_serve_call_builds_one_table_for_all_its_sessions(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        "pacreach.wire._answer_table",
+        lambda machine: built.append(machine) or _answer_table(machine))
+    server, addr = _serve_in_thread(build_alks(False), max_sessions=3)
+    for _ in range(3):
+        with socket.create_connection(addr, timeout=5) as sock:
+            assert _ask(sock, b"RESET\nSTEP l\n") == b"OK\nOUT ok\n"
+    server.join(5)
+    assert not server.is_alive()
+    assert len(built) == 1
+
+
 def test_stdio_black_box_agrees_with_in_process():
     machine = build_alks(False)
     local = MachineSafetyQuery(machine)
@@ -318,6 +367,21 @@ def test_a_channel_waits_at_the_longest_timeout():
         peer.sendall(b"OK\n")
         channel = _Channel(sock, None, counters)
         assert channel.recv_lines(1, MAX_TIMEOUT) == [b"OK"]
+
+
+def test_a_trickled_reply_line_is_bounded_by_one_timeout():
+    counters = types.SimpleNamespace(bytes_received=0)
+    sock, peer = socket.socketpair()
+    with sock, peer:
+        peer.sendall(b"OU")
+        channel = _Channel(sock, None, counters)
+        started = time.monotonic()
+        with pytest.raises(_ConnectionLost,
+                           match=r"^no response within 0\.3s$"):
+            channel.recv_lines(1, 0.3)
+        waited = time.monotonic() - started
+    assert 0.3 <= waited < 0.6
+    assert counters.bytes_received == 2
 
 
 def test_a_child_that_ignores_sigterm_is_killed_and_reaped():
