@@ -110,12 +110,15 @@ def monte_carlo(sul: SafetyQuery, n: int, samples: int,
     """Hit ratio of `samples` uniform random sequences, with its
     normal-approximation standard error.
 
-    Draws from ``sul.draws``, the uniform sampler the learner uses, so
-    the two probabilities in a report are comparable; exactly
-    ``samples`` queries are answered.
+    Counts the safe ones among the first ``samples`` items of
+    ``sul.draws``, the uniform sampler the learner uses, so the two
+    probabilities in a report are comparable; exactly ``samples``
+    queries are answered. The count comes from ``sul.count_safe``: the
+    number of queries is known before the first is asked, so a black
+    box answers them a write window of sequences at a time, where the
+    learner's draws go one round trip each.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    draws = sul.draws(n, random.Random(seed))
-    hits = sum(safe for safe, _ in itertools.islice(draws, samples))
+    hits = sul.count_safe(n, samples, random.Random(seed))
     return MonteCarloEstimate(samples, hits, seed)

@@ -13,7 +13,9 @@ Random input runs come from ``SafetyQuery.draws``: the sequences that
 ``rng.choice`` would pick, symbol by symbol, read from the generator in
 blocks, each with its verdict. A black box answers each one through
 ``is_safe``; a machine folds the symbol numbers over its numbered states
-and builds the symbol tuple of a safe run only.
+and builds the symbol tuple of a safe run only. ``count_safe`` counts
+the safe ones among a known number of draws, which lets a black box
+answer several per round trip.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import random
 import sys
 from abc import ABC, abstractmethod
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import ValidationError
@@ -97,10 +100,26 @@ class SafetyQuery(ABC):
         nothing else reads. A bad horizon raises ValidationError here,
         before ``rng`` is read.
         """
+        return self._draws(n, self.input_alphabet, self._blocks(n, rng))
+
+    def count_safe(self, n: int, samples: int, rng: random.Random) -> int:
+        """How many of the first ``samples`` items of ``draws(n, rng)``
+        are safe; answers exactly that many queries.
+
+        Unlike ``draws``, the number of queries is known before the
+        first is asked, so a black box may answer several per round
+        trip (``RemoteSafetyQuery``); by default the draws are taken
+        one by one.
+        """
+        draws = self.draws(n, rng)
+        return sum(safe for safe, _ in islice(draws, samples))
+
+    def _blocks(self, n: int, rng: random.Random):
+        # the symbol-number stream of draws; a bad horizon fails here,
+        # before rng is read
         if n < 1:
             raise ValidationError(f"horizon must be >= 1, got {n}")
-        alphabet = self.input_alphabet
-        return self._draws(n, alphabet, _choice_blocks(n, len(alphabet), rng))
+        return _choice_blocks(n, len(self.input_alphabet), rng)
 
     def _draws(self, n, alphabet, blocks):
         # the default: one is_safe call per sequence

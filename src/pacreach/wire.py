@@ -16,13 +16,20 @@ write-ahead is bounded: at most WRITE_AHEAD_BYTES of requests are
 unanswered at any time, and a longer sequence goes out in windows, each
 sent once the previous one is answered. That keeps the client from
 blocking in a write while the server blocks writing replies nobody
-reads. The client checks the replies each read brings as soon as it
-arrives, so a bad reply fails without waiting for the rest of the
-window; the timeout bounds each wait for the next reply line. The
-verdict is the FINAL output token checked against the configured
-unsafe set. Anything else coming back, a timeout or a closed connection
-anywhere in the batch is a transport error, and the client drops
-the connection, so no stale reply reaches the next query. A subprocess
+reads. The Monte Carlo baseline knows how many sequences it will ask
+about before it asks (``count_safe``), so its windows span sequences:
+one exchange sends as many whole sequences as fit in a window; a
+single query is the one-sequence case of the same exchange. The client
+checks the replies each read brings as soon as it arrives, so a bad
+reply fails without waiting for the rest of the window; the timeout
+bounds each wait for the next reply line. It checks each distinct STEP
+reply line once, remembering the verdict of up to REPLY_MEMO_ENTRIES
+well-formed OUT lines by their bytes. The verdict is the FINAL output
+token checked against the configured unsafe set. Anything else coming
+back, a timeout or a closed connection anywhere in the batch is a
+transport error, and the client drops the connection, so no stale
+reply reaches the next query. The protocol has no verdict for the
+empty sequence, so the client refuses to ask for one. A subprocess
 that closes only its stdin still holds the connection; its exit closes
 it. A lost connection (a timeout, a closed connection, a failed read or
 write, a failed TCP connect) is retried on a fresh connection a bounded
@@ -34,10 +41,10 @@ answered correctly.
 
 The server half drives a MealyMachine over the same protocol so the
 black-box path can be exercised against a known model. It answers all
-the complete requests one read brings, in order, with one write. It
-answers each well-formed request by one lookup in a per-state table,
-built once per serve call from its own parser, and parses every other
-line.
+the complete requests one read brings, in order, in one call and with
+one write. It answers each well-formed request by one lookup in a
+per-state table, built once per serve call from its own parser, and
+parses every other line.
 """
 
 from __future__ import annotations
@@ -49,7 +56,9 @@ import socket
 import subprocess
 import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
 
 from .errors import TransportError, ValidationError
 from .mealy import MealyMachine
@@ -67,6 +76,11 @@ WRITE_AHEAD_BYTES = 4096
 
 # Most bytes one read takes from the peer, on either end.
 READ_BYTES = 65536
+
+# Most distinct STEP reply lines the client remembers the verdict of. A
+# peer may invent outputs without end; the lines past the cap are parsed
+# each time they arrive.
+REPLY_MEMO_ENTRIES = 256
 
 _RESET = b"RESET\n"
 
@@ -249,6 +263,8 @@ class RemoteSafetyQuery(SafetyQuery):
         self.bytes_received = 0
         self._connected_before = False
         self._channel: _Channel | None = None
+        # reply line -> whether it is a safe OUT line; see _check_step
+        self._safe_replies: dict[bytes, bool] = {}
         super().__init__(self._with_retries(self._request_alphabet))
         # each STEP line is encoded once, not once per query
         self._steps = {sym: f"STEP {sym}\n".encode("utf-8")
@@ -256,44 +272,64 @@ class RemoteSafetyQuery(SafetyQuery):
 
     # -- plumbing ------------------------------------------------------------
 
-    def _pipeline(self, lines: list[bytes]):
-        """Send the request ``lines`` and yield each reply's tokens, in order.
+    def _exchange(self, requests: list[bytes], n: int) -> list[bool]:
+        """Send ``requests``, one or more queries of a RESET and n STEPs
+        each, and return each query's verdict, in order.
 
         Requests go out in windows of at most WRITE_AHEAD_BYTES (and at
-        least one request), one write each; a window is sent once every
-        reply to the one before has been read. The replies that one read
-        completes are yielded as soon as it arrives, so a bad reply fails
-        without waiting for the rest of the window. After each window,
-        the peer must have sent nothing beyond its last reply.
+        least one request), one write each, across query boundaries; a
+        window is sent once every reply to the one before has been
+        read. The replies each read brings are checked as soon as it
+        arrives, so a bad reply fails without waiting for the rest of
+        the window. After each window, the peer must have sent nothing
+        beyond its last reply.
         """
         channel = self._channel
         assert channel is not None
         timeout = self.config.timeout
-        start = 0
-        while start < len(lines):
-            stop, size = start + 1, len(lines[start])
-            while (stop < len(lines)
-                   and size + len(lines[stop]) <= WRITE_AHEAD_BYTES):
-                size += len(lines[stop])
-                stop += 1
-            channel.send(b"".join(lines[start:stop]))
+        safe_replies = self._safe_replies
+        verdicts: list[bool] = []
+        ends = list(accumulate(map(len, requests)))
+        start, sent, pos = 0, 0, 0  # pos: replies read of this query
+        while start < len(requests):
+            stop = max(bisect_right(ends, sent + WRITE_AHEAD_BYTES, start),
+                       start + 1)
+            channel.send(b"".join(requests[start:stop]))
             self.requests += stop - start
+            sent = ends[stop - 1]
             unanswered = stop - start
             while unanswered:
                 replies = channel.recv_lines(unanswered, timeout)
                 unanswered -= len(replies)
                 for reply in replies:
-                    try:
-                        tokens = reply.decode("utf-8").split()
-                    except UnicodeDecodeError as exc:
-                        raise TransportError(
-                            f"reply is not UTF-8: {reply[:40]!r}") from exc
-                    if not tokens:
-                        raise TransportError("empty reply")
-                    yield tokens
+                    if not pos:
+                        if reply != b"OK":
+                            _check_reset(reply)
+                        pos = 1
+                        continue
+                    safe = safe_replies.get(reply)
+                    if safe is None:
+                        safe = self._check_step(reply)
+                    if pos == n:
+                        verdicts.append(safe)
+                        pos = 0
+                    else:
+                        pos += 1
             if channel.has_unread():
                 raise TransportError("unrequested bytes after the last reply")
             start = stop
+        return verdicts
+
+    def _check_step(self, reply: bytes) -> bool:
+        """Whether a STEP reply is a safe ``OUT`` line, remembered in
+        ``_safe_replies`` while it has room."""
+        tokens = _reply_tokens(reply)
+        if tokens[0] != "OUT" or len(tokens) != 2:
+            raise TransportError(f"bad STEP reply: {' '.join(tokens)}")
+        safe = tokens[1] not in self.config.unsafe_outputs
+        if len(self._safe_replies) < REPLY_MEMO_ENTRIES:
+            self._safe_replies[reply] = safe
+        return safe
 
     def _open(self):
         if self._channel is None:
@@ -342,7 +378,14 @@ class RemoteSafetyQuery(SafetyQuery):
     # -- protocol ------------------------------------------------------------
 
     def _request_alphabet(self) -> tuple[str, ...]:
-        (tokens,) = self._pipeline([b"ALPHABET\n"])
+        channel = self._channel
+        assert channel is not None
+        channel.send(b"ALPHABET\n")
+        self.requests += 1
+        (reply,) = channel.recv_lines(1, self.config.timeout)
+        tokens = _reply_tokens(reply)
+        if channel.has_unread():
+            raise TransportError("unrequested bytes after the last reply")
         symbols = tokens[1:]
         # a repeated symbol would count one input sequence several times
         if (tokens[0] != "OK" or not symbols
@@ -351,21 +394,58 @@ class RemoteSafetyQuery(SafetyQuery):
         return tuple(symbols)
 
     def _answer(self, seq: tuple[str, ...]) -> bool:
+        if not seq:
+            raise ValidationError(
+                "the wire protocol has no verdict for an empty run")
         requests = [_RESET, *map(self._steps.__getitem__, seq)]
+        (verdict,) = self._with_retries(
+            lambda: self._exchange(requests, len(seq)))
+        return verdict
 
-        def attempt():
-            replies = self._pipeline(requests)
-            tokens = next(replies)
-            if tokens != ["OK"]:
-                raise TransportError(f"bad RESET reply: {' '.join(tokens)}")
-            last_output = None
-            for tokens in replies:
-                if tokens[0] != "OUT" or len(tokens) != 2:
-                    raise TransportError(f"bad STEP reply: {' '.join(tokens)}")
-                last_output = tokens[1]
-            return last_output not in self.config.unsafe_outputs
+    def count_safe(self, n: int, samples: int, rng) -> int:
+        """`SafetyQuery.count_safe`, a write window of draws at a time.
 
-        return self._with_retries(attempt)
+        The draws come from the same symbol stream as ``draws``, so
+        the sequences and the count are those of the one-by-one path.
+        Each window's worth of draws is one exchange, retried as a
+        whole after a lost connection; ``query_count`` grows as each
+        exchange is answered.
+        """
+        blocks = self._blocks(n, rng)
+        steps = [self._steps[sym] for sym in self.input_alphabet]
+        per_window = max(
+            1, WRITE_AHEAD_BYTES // (len(_RESET) + n * max(map(len, steps))))
+        runs = (block[i:i + n] for block in blocks
+                for i in range(0, len(block), n))
+        hits, left = 0, samples
+        while left:
+            requests: list[bytes] = []
+            for run in islice(runs, min(left, per_window)):
+                requests.append(_RESET)
+                requests += map(steps.__getitem__, run)
+            verdicts = self._with_retries(
+                lambda: self._exchange(requests, n))
+            self.query_count += len(verdicts)
+            hits += sum(verdicts)
+            left -= len(verdicts)
+        return hits
+
+
+def _reply_tokens(reply: bytes) -> list[str]:
+    """The tokens of a reply line, which must be non-empty UTF-8."""
+    try:
+        tokens = reply.decode("utf-8").split()
+    except UnicodeDecodeError as exc:
+        raise TransportError(f"reply is not UTF-8: {reply[:40]!r}") from exc
+    if not tokens:
+        raise TransportError("empty reply")
+    return tokens
+
+
+def _check_reset(reply: bytes):
+    tokens = _reply_tokens(reply)
+    if tokens != ["OK"]:
+        raise TransportError(f"bad RESET reply: {' '.join(tokens)}")
 
 
 # -- server ------------------------------------------------------------------
@@ -424,11 +504,19 @@ class _ModelSession:
         self.state = machine.initial
         self._table = _answer_table(machine) if table is None else table
 
-    def respond(self, line: str | bytes) -> str:
-        hit = self._table[self.state].get(line)
-        self.state, reply = (hit if hit is not None
-                             else _parse(self.machine, self.state, line))
-        return reply
+    def answer(self, batch) -> str:
+        """The replies to a batch of request lines, in order, each
+        followed by a newline."""
+        machine, table, state = self.machine, self._table, self.state
+        replies = []
+        for line in batch:
+            hit = table[state].get(line)
+            state, reply = (hit if hit is not None
+                            else _parse(machine, state, line))
+            replies.append(reply)
+        self.state = state
+        replies.append("")
+        return "\n".join(replies)
 
 
 def _read_batches(read1):
@@ -456,7 +544,7 @@ def _serve_session(session: _ModelSession, batches, send):
     """Answer each batch of request lines in order, sending the batch's
     replies, one line per request, with one call of ``send``."""
     for batch in batches:
-        send("".join([session.respond(line) + "\n" for line in batch]))
+        send(session.answer(batch))
 
 
 def serve_stdio(machine: MealyMachine, stdin=None, stdout=None):

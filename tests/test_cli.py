@@ -459,6 +459,16 @@ def test_estimate_matches_the_library_call(capsys):
     assert float(report["estimate"]) == mc.estimate
 
 
+def test_estimate_over_the_wire_prints_what_the_model_prints(capsys):
+    # the baseline's draws cross the wire a window at a time
+    args = ("-n", "8", "-L", "2000", "--seed", "7")
+    code, remote, _ = run_cli(capsys, "estimate", "--cmd", SERVE_WTO,
+                              "--unsafe-outputs", "alarm", *args)
+    assert code == 0
+    assert (0, remote, "") == run_cli(capsys, "estimate", "--model",
+                                      "alks_without", *args)
+
+
 def test_estimate_with_a_zero_horizon_exits_2(capsys):
     code, out, err = run_cli(capsys, "estimate", "--model", "alks_with",
                              "-n", "0", "-L", "10")

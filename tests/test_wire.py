@@ -16,14 +16,15 @@ import types
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pacreach.baselines import monte_carlo
 from pacreach.errors import TransportError, ValidationError
 from pacreach.mealy import MealyMachine
 from pacreach.models import BUNDLED, build_alks, random_machine
 from pacreach.sul import MachineSafetyQuery
-from pacreach.wire import (MAX_TIMEOUT, WRITE_AHEAD_BYTES, BlackBoxConfig,
-                           RemoteSafetyQuery, _answer_table, _Channel,
-                           _ConnectionLost, _ModelSession, parse_host_port,
-                           serve_stdio, serve_tcp)
+from pacreach.wire import (MAX_TIMEOUT, REPLY_MEMO_ENTRIES, WRITE_AHEAD_BYTES,
+                           BlackBoxConfig, RemoteSafetyQuery, _answer_table,
+                           _Channel, _ConnectionLost, _ModelSession,
+                           parse_host_port, serve_stdio, serve_tcp)
 
 SERVE_WTO = (f"{sys.executable} -m pacreach.cli serve-model "
              f"--model alks_without.machine --stdio")
@@ -80,12 +81,12 @@ class _FakePeer:
                 try:
                     for line in reader:
                         if line.strip() == b"ALPHABET":
-                            conn.sendall(f"{model.respond(line)}\n".encode())
+                            conn.sendall(model.answer([line]).encode())
                             continue
                         batch = [line] + [reader.readline()
                                           for _ in range(self.n)]
                         self.write(conn, session, [
-                            f"{model.respond(r)}\n".encode() for r in batch])
+                            model.answer([r]).encode() for r in batch])
                 except OSError:
                     pass  # the client dropped the connection
             session += 1
@@ -98,6 +99,13 @@ class _FakePeer:
         self._thread.join(5)
         self._listener.close()
         assert not self._thread.is_alive()
+
+
+def _respond(session, line):
+    """The reply to one request line, without its newline."""
+    reply = session.answer([line])
+    assert reply.endswith("\n")
+    return reply[:-1]
 
 
 def _send_all(conn, session, replies):
@@ -165,15 +173,15 @@ def test_config_accepts_the_longest_timeout_a_selector_can_wait():
 
 def test_session_protocol_unit():
     session = _ModelSession(build_alks(False))
-    assert session.respond("ALPHABET") == "OK l r s"
-    assert session.respond("RESET") == "OK"
-    assert session.respond("STEP l") == "OUT ok"
-    assert session.respond("STEP l") == "OUT alarm"
-    assert session.respond("RESET") == "OK"
-    assert session.respond("STEP l") == "OUT ok"
-    assert session.respond("STEP x").startswith("ERR")
-    assert session.respond("FROB").startswith("ERR")
-    assert session.respond("").startswith("ERR")
+    assert _respond(session, "ALPHABET") == "OK l r s"
+    assert _respond(session, "RESET") == "OK"
+    assert _respond(session, "STEP l") == "OUT ok"
+    assert _respond(session, "STEP l") == "OUT alarm"
+    assert _respond(session, "RESET") == "OK"
+    assert _respond(session, "STEP l") == "OUT ok"
+    assert _respond(session, "STEP x").startswith("ERR")
+    assert _respond(session, "FROB").startswith("ERR")
+    assert _respond(session, "").startswith("ERR")
 
 
 def _parsed_only(machine):
@@ -191,8 +199,8 @@ def test_a_table_lookup_answers_as_the_parse_does(machine):
         for request in text + [request.encode() for request in text]:
             looked_up, parsed = _ModelSession(machine), _parsed_only(machine)
             looked_up.state = parsed.state = state
-            assert (looked_up.respond(request), looked_up.state) == \
-                (parsed.respond(request), parsed.state)
+            assert (_respond(looked_up, request), looked_up.state) == \
+                (_respond(parsed, request), parsed.state)
 
 
 def test_an_input_with_a_space_or_no_name_is_still_an_error():
@@ -204,8 +212,8 @@ def test_an_input_with_a_space_or_no_name_is_still_an_error():
         initial="q", safe_states=frozenset({"q"}))
     session = _ModelSession(machine)
     for request in ("STEP a b", b"STEP a b", "STEP ", b"STEP "):
-        assert session.respond(request) == "ERR unknown command STEP"
-        assert _parsed_only(machine).respond(request) == \
+        assert _respond(session, request) == "ERR unknown command STEP"
+        assert _respond(_parsed_only(machine), request) == \
             "ERR unknown command STEP"
 
 
@@ -264,6 +272,24 @@ def test_classification_is_by_final_output_only():
         assert remote.is_safe(["water", "pod", "button"])
         assert not remote.is_safe(["button"])
         assert not remote.is_safe(["button", "water"])
+
+
+def test_an_empty_run_is_refused_before_anything_is_sent():
+    # the protocol has no verdict for the empty run: a bare RESET would
+    # make one up ("safe"), where none_safe's own verdict is unsafe
+    assert MachineSafetyQuery(BUNDLED["none_safe"]()).is_safe(()) is False
+    cfg = BlackBoxConfig(
+        command=f"{sys.executable} -m pacreach.cli serve-model "
+                f"--model none_safe --stdio",
+        unsafe_outputs=frozenset({"ok"}))
+    with RemoteSafetyQuery(cfg) as remote:
+        sent = (remote.requests, remote.writes, remote.bytes_sent)
+        with pytest.raises(ValidationError, match="empty run"):
+            remote.is_safe(())
+        assert (remote.requests, remote.writes, remote.bytes_sent) == sent
+        assert remote.query_count == 0
+        assert remote.is_safe(("i0",)) is False
+        assert remote.query_count == 1
 
 
 def test_unreachable_endpoint_is_transport_error():
@@ -476,7 +502,7 @@ def test_counters_on_one_session():
     for seq in seqs:
         requests += ["RESET", *(f"STEP {sym}" for sym in seq)]
     expect_sent = sum(len(request) + 1 for request in requests)
-    expect_received = sum(len(replies.respond(request)) + 1
+    expect_received = sum(len(_respond(replies, request)) + 1
                           for request in requests)
     cfg = BlackBoxConfig(command=SERVE_WTO,
                          unsafe_outputs=frozenset({"alarm"}))
@@ -596,7 +622,7 @@ _REPLY_PIECES = [b"OK\n", b"OUT ok\n", b"OUT alarm\n", b"OUT\n", b"OK",
 @given(st.one_of(st.binary(max_size=80), st.text(max_size=80)))
 def test_the_server_answers_any_request_with_one_line(request):
     machine = build_alks(True)
-    reply = _ModelSession(machine).respond(request)
+    reply = _respond(_ModelSession(machine), request)
     assert "\n" not in reply
     assert reply.split(" ", 1)[0] in ("OK", "OUT", "ERR")
     # and over a whole stream, one reply line per request line
@@ -691,7 +717,7 @@ def test_one_pipelined_window_is_answered_with_one_write(monkeypatch):
     seq = ("l", "s", "r", "l", "l")
     window = b"".join([b"RESET\n", *(f"STEP {s}\n".encode() for s in seq)])
     session = _ModelSession(machine)
-    want = "".join(f"{session.respond(line)}\n"
+    want = "".join(f"{_respond(session, line)}\n"
                    for line in window.splitlines())
     # stdio: one atomic pipe write, read through a buffered reader
     read_end, write_end = os.pipe()
@@ -793,3 +819,128 @@ def test_an_unrequested_reply_between_windows_fails_the_query():
             remote.is_safe(("l",) * n)
         assert (remote.retries, remote.reconnects) == (0, 0)
         assert remote.writes == 2  # ALPHABET and the first window only
+
+
+# RESET and eight one-letter STEPs are 62 bytes: 66 queries fill a window
+_WINDOW_AT_8 = WRITE_AHEAD_BYTES // len(b"RESET\n" + b"STEP l\n" * 8)
+
+
+@pytest.mark.parametrize("samples", [
+    _WINDOW_AT_8 - 1,  # one window
+    5 * _WINDOW_AT_8 + 7,  # several windows, the last one short
+    1500,  # draws from four generator blocks of the sampler
+])
+def test_the_baseline_over_the_wire_counts_as_in_process(samples):
+    local = MachineSafetyQuery(build_alks(True))
+    want = monte_carlo(local, 8, samples, seed=21)
+    cfg = BlackBoxConfig(
+        command=SERVE_WTO.replace("alks_without", "alks_with"),
+        unsafe_outputs=frozenset({"alarm"}))
+    with RemoteSafetyQuery(cfg) as remote:
+        assert monte_carlo(remote, 8, samples, seed=21) == want
+        assert remote.query_count == local.query_count == samples
+        assert remote.requests == 1 + 9 * samples
+        # the ALPHABET handshake, then one write per window of queries
+        assert remote.writes == 1 + -(-samples // _WINDOW_AT_8)
+        assert (remote.retries, remote.reconnects) == (0, 0)
+
+
+def test_a_bad_reply_mid_baseline_batch_is_transport_error():
+    answered = []
+
+    def bad_step_in_query_10(conn, session, replies):
+        answered.append(None)
+        if len(answered) == 10:
+            replies[3] = b"WAT\n"
+        conn.sendall(b"".join(replies))
+
+    with _FakePeer(5, bad_step_in_query_10) as peer:
+        with RemoteSafetyQuery(_peer_config(peer, max_retries=2)) as remote:
+            with pytest.raises(TransportError, match="bad STEP reply: WAT"):
+                monte_carlo(remote, 5, 20, seed=3)
+            assert remote.query_count == 0
+            assert (remote.retries, remote.reconnects) == (0, 0)
+
+
+def test_a_connection_dropped_mid_baseline_batch_is_retried():
+    # 300 queries of 5 steps are four windows; the first session hangs
+    # up halfway through the second
+    answered = []
+
+    def drop_in_query_150(conn, session, replies):
+        answered.append(None)
+        if session == 0 and len(answered) == 150:
+            conn.sendall(b"".join(replies[:2]))
+            conn.shutdown(socket.SHUT_RDWR)
+        else:
+            conn.sendall(b"".join(replies))
+
+    want = monte_carlo(MachineSafetyQuery(build_alks(False)), 5, 300, seed=4)
+    with _FakePeer(5, drop_in_query_150) as peer:
+        with RemoteSafetyQuery(_peer_config(peer, max_retries=2)) as remote:
+            assert monte_carlo(remote, 5, 300, seed=4) == want
+            assert (remote.retries, remote.reconnects) == (1, 1)
+            assert remote.query_count == 300
+
+
+def _parsed_step_reply(line, unsafe):
+    """What the client made of a STEP reply line before it kept a memo:
+    the verdict of its output, or the TransportError text."""
+    try:
+        tokens = line.decode("utf-8").split()
+    except UnicodeDecodeError:
+        return f"reply is not UTF-8: {line[:40]!r}"
+    if not tokens:
+        return "empty reply"
+    if tokens[0] != "OUT" or len(tokens) != 2:
+        return f"bad STEP reply: {' '.join(tokens)}"
+    return tokens[1] not in unsafe
+
+
+_REPLY_LINE_PIECES = [piece.replace(b"\n", b"") for piece in _REPLY_PIECES]
+
+
+@settings(max_examples=40)
+@given(st.one_of(st.binary(max_size=20),
+                 st.lists(st.sampled_from(_REPLY_LINE_PIECES), max_size=4)
+                 .map(b"".join))
+       .filter(lambda line: b"\n" not in line))
+def test_a_remembered_reply_line_is_judged_as_the_parse_judges_it(line):
+    # every STEP reply is the same line; the second query meets it in
+    # the memo if the first one put it there
+    def every_step_says_line(conn, session, replies):
+        conn.sendall(replies[0] + (line + b"\n") * (len(replies) - 1))
+
+    want = _parsed_step_reply(line, {"alarm"})
+    with _FakePeer(2, every_step_says_line) as peer:
+        with RemoteSafetyQuery(_peer_config(peer, max_retries=0)) as remote:
+            for _ in range(2):
+                try:
+                    got = remote.is_safe(("l", "s"))
+                except TransportError as exc:
+                    got = str(exc)
+                assert got == want
+            assert (line in remote._safe_replies) == isinstance(want, bool)
+
+
+def test_a_peer_inventing_outputs_keeps_the_memo_at_its_cap():
+    # each STEP reply names an output never seen before; "alarm" stays
+    # the only unsafe one, so every verdict is still the machine's
+    invented = iter(range(10 ** 9))
+
+    def new_output_every_step(conn, session, replies):
+        conn.sendall(b"".join(
+            reply.replace(b"OUT ok", b"OUT ok-%d" % next(invented))
+            for reply in replies))
+
+    local = MachineSafetyQuery(build_alks(False))
+    rng = random.Random(9)
+    with _FakePeer(5, new_output_every_step) as peer:
+        with RemoteSafetyQuery(_peer_config(peer, max_retries=0)) as remote:
+            for _ in range(80):
+                seq = rng.choices(local.input_alphabet, k=5)
+                assert remote.is_safe(seq) == local.is_safe(seq)
+            assert monte_carlo(remote, 5, 300, seed=6) == \
+                monte_carlo(local, 5, 300, seed=6)
+            assert next(invented) > 2 * REPLY_MEMO_ENTRIES
+            assert len(remote._safe_replies) == REPLY_MEMO_ENTRIES
