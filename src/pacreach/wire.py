@@ -40,11 +40,12 @@ verdict: the learning guarantee assumes every answered query is
 answered correctly.
 
 The server half drives a MealyMachine over the same protocol so the
-black-box path can be exercised against a known model. It answers all
-the complete requests one read brings, in order, in one call and with
-one write. It answers each well-formed request by one lookup in a
-per-state table, built once per serve call from its own parser, and
-parses every other line.
+black-box path can be exercised against a known model. It turns every
+request into bytes when it arrives, and answers all the complete
+requests one read brings, in order, in one call and with one write. It
+answers each well-formed request by one lookup in a per-state table,
+built once per serve call from its own parser, and parses every other
+line.
 """
 
 from __future__ import annotations
@@ -451,15 +452,12 @@ def _check_reset(reply: bytes):
 # -- server ------------------------------------------------------------------
 
 
-def _parse(machine: MealyMachine, state: str,
-           line: str | bytes) -> tuple[str, str]:
+def _parse(machine: MealyMachine, state: str, line: bytes) -> tuple[str, str]:
     """Answer one request line in ``state``: (next state, reply)."""
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError:
-            return state, "ERR request is not UTF-8"
-    tokens = line.split()
+    try:
+        tokens = line.decode("utf-8").split()
+    except UnicodeDecodeError:
+        return state, "ERR request is not UTF-8"
     if not tokens:
         return state, "ERR empty request"
     cmd, args = tokens[0], tokens[1:]
@@ -478,11 +476,9 @@ def _parse(machine: MealyMachine, state: str,
 
 def _answer_table(machine: MealyMachine) -> dict:
     """Map each state to {request: `_parse` of it in that state}, for the
-    requests ``ALPHABET``, ``RESET`` and ``STEP <sym>``, as text and as
-    UTF-8 bytes."""
-    requests = ["ALPHABET", "RESET",
-                *(f"STEP {sym}" for sym in machine.inputs)]
-    requests += [request.encode("utf-8") for request in requests]
+    requests ``ALPHABET``, ``RESET`` and ``STEP <sym>`` as UTF-8 bytes."""
+    requests = [request.encode("utf-8") for request in (
+        "ALPHABET", "RESET", *(f"STEP {sym}" for sym in machine.inputs))]
     return {state: {request: _parse(machine, state, request)
                     for request in requests}
             for state in machine.states}
@@ -491,8 +487,8 @@ def _answer_table(machine: MealyMachine) -> dict:
 class _ModelSession:
     """Protocol state for one client talking to one machine.
 
-    A well-formed request (``ALPHABET``, ``RESET`` or ``STEP <sym>``,
-    spelled exactly so, as text or as UTF-8 bytes) is answered by one
+    Requests are bytes. A well-formed one (``ALPHABET``, ``RESET`` or
+    ``STEP <sym>`` in UTF-8, spelled exactly so) is answered by one
     lookup in ``table`` (by default `_answer_table` of ``machine``);
     every other line is parsed. The table's entries are parses of its
     keys, so a lookup never disagrees with a parse. The sessions of one
@@ -540,25 +536,28 @@ def _read_batches(read1):
         yield [b"".join(partial)]
 
 
-def _serve_session(session: _ModelSession, batches, send):
-    """Answer each batch of request lines in order, sending the batch's
-    replies, one line per request, with one call of ``send``."""
-    for batch in batches:
-        send(session.answer(batch))
+def _request(line: str | bytes) -> bytes:
+    """One item of a request line iterator as one request: text in
+    UTF-8, an escaped undecodable byte back as that byte, less one
+    trailing newline."""
+    if isinstance(line, str):
+        line = line.encode("utf-8", "surrogateescape")
+    return line[:-1] if line.endswith(b"\n") else line
 
 
 def serve_stdio(machine: MealyMachine, stdin=None, stdout=None):
     """Answer protocol requests on stdio until EOF. Blocks.
 
     ``stdin`` is a binary stream or yields request lines as text or
-    bytes; ``stdout`` takes text. A stream with ``read1`` is read as it
-    arrives: the replies to all the complete requests one read brings go
-    out in one write and one flush. Other input is answered line by
-    line. By default the server reads the raw bytes of ``sys.stdin``,
-    so a request that is not UTF-8 gets an ``ERR`` reply instead of
-    stopping it, and writes UTF-8 to ``sys.stdout`` whatever the
-    locale. A reader that goes away, closing the pipe or resetting the
-    connection, ends the session as EOF does.
+    bytes; ``stdout`` takes text. Every request becomes bytes when it
+    arrives. A stream with ``read1`` is read as it arrives: the replies
+    to all the complete requests one read brings go out in one write
+    and one flush. Other input is answered line by line, each item one
+    request (`_request`). By default the server reads the raw bytes of
+    ``sys.stdin``, so a request that is not UTF-8 gets an ``ERR`` reply
+    instead of stopping it, and writes UTF-8 to ``sys.stdout`` whatever
+    the locale. A reader that goes away, closing the pipe or resetting
+    the connection, ends the session as EOF does.
     """
     own_stdout = stdout is None
     stdin = stdin if stdin is not None else sys.stdin.buffer
@@ -567,14 +566,12 @@ def serve_stdio(machine: MealyMachine, stdin=None, stdout=None):
         stdout.reconfigure(encoding="utf-8")
     read1 = getattr(stdin, "read1", None)
     batches = (_read_batches(read1) if read1 is not None
-               else ([line] for line in stdin))
-
-    def send(text: str):
-        stdout.write(text)
-        stdout.flush()
-
+               else ([_request(line)] for line in stdin))
+    session = _ModelSession(machine)
     try:
-        _serve_session(_ModelSession(machine), batches, send)
+        for batch in batches:
+            stdout.write(session.answer(batch))
+            stdout.flush()
     except (BrokenPipeError, ConnectionResetError):
         if own_stdout:
             # the replies still buffered can never be read: point the
@@ -618,9 +615,8 @@ def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
             served += 1
             try:
                 with conn:
-                    _serve_session(
-                        _ModelSession(machine, table),
-                        _read_batches(conn.recv),
-                        lambda text: conn.sendall(text.encode("utf-8")))
+                    session = _ModelSession(machine, table)
+                    for batch in _read_batches(conn.recv):
+                        conn.sendall(session.answer(batch).encode("utf-8"))
             except OSError as exc:
                 log.warning("session with %s ended: %s", addr, exc)

@@ -101,8 +101,8 @@ class _FakePeer:
         assert not self._thread.is_alive()
 
 
-def _respond(session, line):
-    """The reply to one request line, without its newline."""
+def _respond(session, line: bytes):
+    """The reply to one request line (bytes), without its newline."""
     reply = session.answer([line])
     assert reply.endswith("\n")
     return reply[:-1]
@@ -173,15 +173,15 @@ def test_config_accepts_the_longest_timeout_a_selector_can_wait():
 
 def test_session_protocol_unit():
     session = _ModelSession(build_alks(False))
-    assert _respond(session, "ALPHABET") == "OK l r s"
-    assert _respond(session, "RESET") == "OK"
-    assert _respond(session, "STEP l") == "OUT ok"
-    assert _respond(session, "STEP l") == "OUT alarm"
-    assert _respond(session, "RESET") == "OK"
-    assert _respond(session, "STEP l") == "OUT ok"
-    assert _respond(session, "STEP x").startswith("ERR")
-    assert _respond(session, "FROB").startswith("ERR")
-    assert _respond(session, "").startswith("ERR")
+    assert _respond(session, b"ALPHABET") == "OK l r s"
+    assert _respond(session, b"RESET") == "OK"
+    assert _respond(session, b"STEP l") == "OUT ok"
+    assert _respond(session, b"STEP l") == "OUT alarm"
+    assert _respond(session, b"RESET") == "OK"
+    assert _respond(session, b"STEP l") == "OUT ok"
+    assert _respond(session, b"STEP x").startswith("ERR")
+    assert _respond(session, b"FROB").startswith("ERR")
+    assert _respond(session, b"").startswith("ERR")
 
 
 def _parsed_only(machine):
@@ -194,9 +194,12 @@ def _parsed_only(machine):
     random_machine(6, 3, 0.3, seed=5, absorbing_unsafe=False)],
     ids=["alks_with", "alks_without", "coffee", "random"])
 def test_a_table_lookup_answers_as_the_parse_does(machine):
-    text = ["ALPHABET", "RESET", *(f"STEP {sym}" for sym in machine.inputs)]
+    requests = [request.encode() for request in (
+        "ALPHABET", "RESET", *(f"STEP {sym}" for sym in machine.inputs))]
+    assert all(set(row) == set(requests)
+               for row in _answer_table(machine).values())
     for state in machine.states:
-        for request in text + [request.encode() for request in text]:
+        for request in requests:
             looked_up, parsed = _ModelSession(machine), _parsed_only(machine)
             looked_up.state = parsed.state = state
             assert (_respond(looked_up, request), looked_up.state) == \
@@ -211,7 +214,7 @@ def test_an_input_with_a_space_or_no_name_is_still_an_error():
         transitions={("q", "a b"): ("q", "ok"), ("q", ""): ("q", "ok")},
         initial="q", safe_states=frozenset({"q"}))
     session = _ModelSession(machine)
-    for request in ("STEP a b", b"STEP a b", "STEP ", b"STEP "):
+    for request in (b"STEP a b", b"STEP "):
         assert _respond(session, request) == "ERR unknown command STEP"
         assert _respond(_parsed_only(machine), request) == \
             "ERR unknown command STEP"
@@ -502,7 +505,7 @@ def test_counters_on_one_session():
     for seq in seqs:
         requests += ["RESET", *(f"STEP {sym}" for sym in seq)]
     expect_sent = sum(len(request) + 1 for request in requests)
-    expect_received = sum(len(_respond(replies, request)) + 1
+    expect_received = sum(len(_respond(replies, request.encode())) + 1
                           for request in requests)
     cfg = BlackBoxConfig(command=SERVE_WTO,
                          unsafe_outputs=frozenset({"alarm"}))
@@ -622,12 +625,12 @@ _REPLY_PIECES = [b"OK\n", b"OUT ok\n", b"OUT alarm\n", b"OUT\n", b"OK",
 @given(st.one_of(st.binary(max_size=80), st.text(max_size=80)))
 def test_the_server_answers_any_request_with_one_line(request):
     machine = build_alks(True)
-    reply = _respond(_ModelSession(machine), request)
+    data = request.encode("utf-8", "surrogatepass") \
+        if isinstance(request, str) else request
+    reply = _respond(_ModelSession(machine), data)
     assert "\n" not in reply
     assert reply.split(" ", 1)[0] in ("OK", "OUT", "ERR")
     # and over a whole stream, one reply line per request line
-    data = request.encode("utf-8", "surrogatepass") \
-        if isinstance(request, str) else request
     out = io.StringIO()
     serve_stdio(machine, io.BytesIO(data + b"\nRESET\n"), out)
     lines = out.getvalue().split("\n")
@@ -705,11 +708,46 @@ def test_replies_to_any_split_of_the_requests_equal_line_by_line_replies(
     by_line = io.StringIO()
     serve_stdio(machine, io.BytesIO(data).readlines(), by_line)
     assert "".join(batched.writes) == by_line.getvalue()
+    # and both equal a reference that answers one line at a time
+    # without serve_stdio; the piece after the last newline is a request
+    # only if it is not empty
+    lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    session = _ModelSession(machine)
+    assert by_line.getvalue() == "".join(session.answer([line])
+                                         for line in lines)
     # one write for each read that completes a request line, and one for
     # a last line left without a newline at EOF
     reads_that_answer = sum(b"\n" in chunk for chunk in chunks)
     unterminated = bool(data) and not data.endswith(b"\n")
     assert len(batched.writes) == reads_that_answer + unterminated
+
+
+def test_a_text_line_with_an_escaped_byte_is_not_utf8():
+    # a text stdin in the C locale escapes an undecodable byte as a lone
+    # surrogate, which a UTF-8 writer cannot echo back
+    requests = io.TextIOWrapper(io.BytesIO(b"STEP \xff\nRESET\n"),
+                                encoding="utf-8", errors="surrogateescape")
+    raw = io.BytesIO()
+    replies = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+    serve_stdio(build_alks(True), requests, replies)
+    assert raw.getvalue() == b"ERR request is not UTF-8\nOK\n"
+
+
+def test_well_formed_text_lines_are_answered_from_the_table(monkeypatch):
+    machine = build_alks(False)
+    table = _answer_table(machine)
+    monkeypatch.setattr("pacreach.wire._answer_table", lambda _: table)
+
+    def no_parse(*args):
+        raise AssertionError(f"parsed {args[2]!r}")
+
+    monkeypatch.setattr("pacreach.wire._parse", no_parse)
+    out = io.StringIO()
+    serve_stdio(machine, ["ALPHABET\n", "RESET\n", "STEP l\n", "STEP l\n",
+                          b"RESET\n", "STEP s"], out)
+    assert out.getvalue() == "OK l r s\nOK\nOUT ok\nOUT alarm\nOK\nOUT ok\n"
 
 
 def test_one_pipelined_window_is_answered_with_one_write(monkeypatch):
