@@ -111,14 +111,13 @@ def monte_carlo(sul: SafetyQuery, n: int, samples: int,
     normal-approximation standard error.
 
     Counts the safe ones among the first ``samples`` items of
-    ``sul.draws``, the uniform sampler the learner uses, so the two
-    probabilities in a report are comparable; exactly ``samples``
-    queries are answered. The count comes from ``sul.count_safe``: the
-    number of queries is known before the first is asked, so a black
-    box answers them a write window of sequences at a time, where the
-    learner's draws go one round trip each.
+    ``sul.draws``, the stream the learner draws from too, so the two
+    probabilities in a report are comparable. Exactly ``samples``
+    queries are answered; told so, a black box answers them in windows.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
-    hits = sul.count_safe(n, samples, random.Random(seed))
+    draws = sul.draws(n, random.Random(seed))
+    draws.will_take = samples
+    hits = sum(safe for safe, _ in itertools.islice(draws, samples))
     return MonteCarloEstimate(samples, hits, seed)

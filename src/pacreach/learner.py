@@ -150,12 +150,15 @@ def learn_safe_set(sul: SafetyQuery,
     safe; the result never claims safety it has not checked.
     """
     draws = sul.draws(cfg.horizon, random.Random(cfg.rng_seed))
+    items, cap = iter(draws), DEFAULT_SAMPLE_ATTEMPT_CAP
     learned = MonomialSet(cfg.horizon, ())
     stats = LearnerStats()
     started = time.perf_counter()
-    for _ in range(cfg.sample_budget):
+    for left in range(cfg.sample_budget, 0, -1):
+        # each example left takes a draw, unless the cap ends this one
+        draws.will_take = left if left < cap else cap
         before = sul.query_count
-        example = draw_safe_example(draws)
+        example = draw_safe_example(items)
         stats.sample_attempts += sul.query_count - before
         stats.examples_drawn += 1
         if learned.implies(example):

@@ -9,13 +9,13 @@ ALPHABET handshake. The learner, the Monte Carlo baseline and the CLI
 all talk to this interface only, so a model file and a live black box
 are interchangeable.
 
-Random input runs come from ``SafetyQuery.draws``: the sequences that
-``rng.choice`` would pick, symbol by symbol, read from the generator in
-blocks, each with its verdict. A black box answers each one through
-``is_safe``; a machine folds the symbol numbers over its numbered states
-and builds the symbol tuple of a safe run only. ``count_safe`` counts
-the safe ones among a known number of draws, which lets a black box
-answer several per round trip.
+The learner and the Monte Carlo baseline take random input runs from
+one stream, ``SafetyQuery.draws``: the sequences that ``rng.choice``
+would pick, symbol by symbol, read from the generator in blocks, each
+with its verdict. Told how many runs its consumer will take for certain
+(``Draws``), a black box answers that many per round trip; by default
+each goes through ``is_safe``. A machine folds the symbol numbers over
+its numbered states and builds the symbol tuple of a safe run only.
 """
 
 from __future__ import annotations
@@ -23,17 +23,31 @@ from __future__ import annotations
 import random
 import sys
 from abc import ABC, abstractmethod
-from itertools import islice
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ValidationError
 from .mealy import MealyMachine
 from .monomials import Monomial
 
-__all__ = ["SafetyQuery", "MachineSafetyQuery"]
+__all__ = ["Draws", "SafetyQuery", "MachineSafetyQuery"]
 
 # SafetyQuery.draws reads its generator this many 32-bit words at a time.
 DRAW_BLOCK_WORDS = 4096
+
+
+class Draws:
+    """The stream of runs that ``SafetyQuery.draws`` returns; iterating
+    it continues one iterator of items. ``will_take`` is how many more
+    items the consumer will take for certain, kept per stream, so a
+    count that a failed run left widens no other stream's windows. A
+    black box asks about that many runs at once and takes 1 off per
+    item taken (``RemoteSafetyQuery``); other adapters ignore it.
+    """
+
+    will_take = 0
+
+    def __iter__(self):
+        return self.items
 
 
 class SafetyQuery(ABC):
@@ -85,43 +99,28 @@ class SafetyQuery(ABC):
                 return not want_all
         return want_all
 
-    def draws(self, n: int, rng: random.Random
-              ) -> Iterator[tuple[bool, tuple[str, ...] | None]]:
+    def draws(self, n: int, rng: random.Random) -> Draws:
         """Uniform random length-n sequences with their verdicts, lazily.
 
         Item j is ``(safe, seq)`` for the j-th n symbols that repeated
         ``rng.choice(alphabet)`` calls pick on a twin of ``rng``. Taking
-        an item answers one query and adds 1 to ``query_count``; no
-        query runs before its item is taken. ``seq`` may be None where
-        ``safe`` is false.
+        an item adds 1 to ``query_count``; no query runs before its item
+        is taken, or before ``will_take`` says it will be. ``seq`` may
+        be None where ``safe`` is false.
 
         ``rng`` is read in blocks of ``DRAW_BLOCK_WORDS`` words, so its
         state afterwards is not that of the twin: pass a generator that
         nothing else reads. A bad horizon raises ValidationError here,
         before ``rng`` is read.
         """
-        return self._draws(n, self.input_alphabet, self._blocks(n, rng))
-
-    def count_safe(self, n: int, samples: int, rng: random.Random) -> int:
-        """How many of the first ``samples`` items of ``draws(n, rng)``
-        are safe; answers exactly that many queries.
-
-        Unlike ``draws``, the number of queries is known before the
-        first is asked, so a black box may answer several per round
-        trip (``RemoteSafetyQuery``); by default the draws are taken
-        one by one.
-        """
-        draws = self.draws(n, rng)
-        return sum(safe for safe, _ in islice(draws, samples))
-
-    def _blocks(self, n: int, rng: random.Random):
-        # the symbol-number stream of draws; a bad horizon fails here,
-        # before rng is read
         if n < 1:
             raise ValidationError(f"horizon must be >= 1, got {n}")
-        return _choice_blocks(n, len(self.input_alphabet), rng)
+        stream = Draws()
+        blocks = _choice_blocks(n, len(self.input_alphabet), rng)
+        stream.items = self._draws(n, self.input_alphabet, blocks, stream)
+        return stream
 
-    def _draws(self, n, alphabet, blocks):
+    def _draws(self, n, alphabet, blocks, stream):
         # the default: one is_safe call per sequence
         for block in blocks:
             for start in range(0, len(block), n):
@@ -218,7 +217,7 @@ class MachineSafetyQuery(SafetyQuery):
             state = self._succ[sym][state]
         return bool(self._safe >> state & 1)
 
-    def _draws(self, n, alphabet, blocks):
+    def _draws(self, n, alphabet, blocks, stream):
         # the verdict of _answer, folded over symbol numbers; the string
         # tuple is built for a safe draw only
         succ = [self._succ[sym] for sym in alphabet]

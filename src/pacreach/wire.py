@@ -16,10 +16,10 @@ write-ahead is bounded: at most WRITE_AHEAD_BYTES of requests are
 unanswered at any time, and a longer sequence goes out in windows, each
 sent once the previous one is answered. That keeps the client from
 blocking in a write while the server blocks writing replies nobody
-reads. The Monte Carlo baseline knows how many sequences it will ask
-about before it asks (``count_safe``), so its windows span sequences:
-one exchange sends as many whole sequences as fit in a window; a
-single query is the one-sequence case of the same exchange. The client
+reads. Random runs (``SafetyQuery.draws``) share windows: an exchange
+sends as many whole runs as fit, of those the learner or the baseline
+will take for certain. An oracle query, whose verdict decides whether
+the next is asked, is the one-run case of the same exchange. The client
 checks the replies each read brings as soon as it arrives, so a bad
 reply fails without waiting for the rest of the window; the timeout
 bounds each wait for the next reply line. It checks each distinct STEP
@@ -63,7 +63,7 @@ from itertools import accumulate, islice
 
 from .errors import TransportError, ValidationError
 from .mealy import MealyMachine
-from .sul import SafetyQuery
+from .sul import SafetyQuery, _symbols
 
 __all__ = ["BlackBoxConfig", "RemoteSafetyQuery", "parse_host_port",
            "serve_stdio", "serve_tcp"]
@@ -403,33 +403,29 @@ class RemoteSafetyQuery(SafetyQuery):
             lambda: self._exchange(requests, len(seq)))
         return verdict
 
-    def count_safe(self, n: int, samples: int, rng) -> int:
-        """`SafetyQuery.count_safe`, a write window of draws at a time.
-
-        The draws come from the same symbol stream as ``draws``, so
-        the sequences and the count are those of the one-by-one path.
-        Each window's worth of draws is one exchange, retried as a
-        whole after a lost connection; ``query_count`` grows as each
-        exchange is answered.
-        """
-        blocks = self._blocks(n, rng)
-        steps = [self._steps[sym] for sym in self.input_alphabet]
+    def _draws(self, n, alphabet, blocks, stream):
+        # SafetyQuery.draws, a window of runs per exchange: as many as
+        # the consumer will take for certain (stream.will_take) and fit
+        # in one write window, at least one. An exchange is retried as
+        # a whole after a lost connection.
+        steps = [self._steps[sym] for sym in alphabet]
         per_window = max(
             1, WRITE_AHEAD_BYTES // (len(_RESET) + n * max(map(len, steps))))
         runs = (block[i:i + n] for block in blocks
                 for i in range(0, len(block), n))
-        hits, left = 0, samples
-        while left:
+        while True:
+            window = list(islice(runs, max(1, min(stream.will_take,
+                                                  per_window))))
             requests: list[bytes] = []
-            for run in islice(runs, min(left, per_window)):
+            for run in window:
                 requests.append(_RESET)
                 requests += map(steps.__getitem__, run)
             verdicts = self._with_retries(
                 lambda: self._exchange(requests, n))
-            self.query_count += len(verdicts)
-            hits += sum(verdicts)
-            left -= len(verdicts)
-        return hits
+            for run, safe in zip(window, verdicts):
+                self.query_count += 1
+                stream.will_take -= 1
+                yield safe, _symbols(alphabet, run)
 
 
 def _reply_tokens(reply: bytes) -> list[str]:

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,7 @@ from pacreach.learner import (ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL,
 from pacreach.models import BUNDLED, build_alks
 from pacreach.monomials import Monomial
 from pacreach.sul import MachineSafetyQuery, SafetyQuery
+from pacreach.wire import BlackBoxConfig, RemoteSafetyQuery
 
 
 def covered_sequences(learned, alphabet, n):
@@ -309,10 +311,22 @@ def test_a_black_box_answers_only_the_draws_taken(model, horizon):
 
 def test_a_capped_search_answers_exactly_the_attempts_it_reports(
         monkeypatch):
+    # the budget is above the cap, so a black box that took the budget
+    # for the number of draws to come would answer draws never taken
     monkeypatch.setattr(learner, "DEFAULT_SAMPLE_ATTEMPT_CAP", 25)
-    for sul in (_BlackBox(BUNDLED["none_safe"]()),
-                MachineSafetyQuery(BUNDLED["none_safe"]())):
-        with pytest.raises(SamplingCapError) as info:
-            learn_safe_set(sul, LearnerConfig(horizon=3, sample_budget=5,
-                                              rng_seed=1))
-        assert info.value.attempts == sul.query_count == 25
+    remote = RemoteSafetyQuery(BlackBoxConfig(
+        command=f"{sys.executable} -m pacreach.cli serve-model "
+                f"--model none_safe --stdio",
+        unsafe_outputs=frozenset({"ok"})))
+    with remote:
+        for sul in (_BlackBox(BUNDLED["none_safe"]()),
+                    MachineSafetyQuery(BUNDLED["none_safe"]()), remote):
+            with pytest.raises(SamplingCapError) as info:
+                learn_safe_set(sul, LearnerConfig(
+                    horizon=3, sample_budget=100, rng_seed=1))
+            assert info.value.attempts == sul.query_count == 25
+        # the ALPHABET handshake, then a RESET and three STEPs per draw
+        assert remote.requests == 1 + 4 * 25
+        # a fresh stream asks about one draw at a time until told more
+        list(itertools.islice(remote.draws(3, random.Random(2)), 3))
+        assert remote.requests == 1 + 4 * 25 + 4 * 3

@@ -227,7 +227,7 @@ def test_a_fused_draw_has_the_trace_verdict_and_counts_one_query(data):
     n = data.draw(st.integers(1, 8))
     seed = data.draw(st.integers(0, 2 ** 32))
     sul, twin = MachineSafetyQuery(machine), random.Random(seed)
-    draws = sul.draws(n, random.Random(seed))
+    draws = iter(sul.draws(n, random.Random(seed)))
     assert sul.query_count == 0
     for taken in range(1, data.draw(st.integers(0, 300)) + 1):
         safe, seq = next(draws)

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from pacreach.baselines import monte_carlo
 from pacreach.errors import TransportError, ValidationError
+from pacreach.learner import LearnerConfig, learn_safe_set
 from pacreach.mealy import MealyMachine
 from pacreach.models import BUNDLED, build_alks, random_machine
 from pacreach.sul import MachineSafetyQuery
@@ -901,24 +902,46 @@ def test_a_bad_reply_mid_baseline_batch_is_transport_error():
 
 
 def test_a_connection_dropped_mid_baseline_batch_is_retried():
-    # 300 queries of 5 steps are four windows; the first session hangs
-    # up halfway through the second
-    answered = []
+    # the first session hangs up halfway through a window of draws: the
+    # baseline's 300 queries of 5 steps are four windows, and it drops
+    # in the second; the learner's first 99 draws are one window, and it
+    # drops in that one
+    learner_cfg = LearnerConfig(horizon=5, sample_budget=300, rng_seed=4)
+    for run, drop_at in (
+            (lambda sul: monte_carlo(sul, 5, 300, seed=4), 150),
+            (lambda sul: learn_safe_set(sul, learner_cfg)[0], 50)):
+        answered = []
 
-    def drop_in_query_150(conn, session, replies):
-        answered.append(None)
-        if session == 0 and len(answered) == 150:
-            conn.sendall(b"".join(replies[:2]))
-            conn.shutdown(socket.SHUT_RDWR)
-        else:
-            conn.sendall(b"".join(replies))
+        def drop_mid_window(conn, session, replies):
+            answered.append(None)
+            if session == 0 and len(answered) == drop_at:
+                conn.sendall(b"".join(replies[:2]))
+                conn.shutdown(socket.SHUT_RDWR)
+            else:
+                conn.sendall(b"".join(replies))
 
-    want = monte_carlo(MachineSafetyQuery(build_alks(False)), 5, 300, seed=4)
-    with _FakePeer(5, drop_in_query_150) as peer:
-        with RemoteSafetyQuery(_peer_config(peer, max_retries=2)) as remote:
-            assert monte_carlo(remote, 5, 300, seed=4) == want
-            assert (remote.retries, remote.reconnects) == (1, 1)
-            assert remote.query_count == 300
+        local = MachineSafetyQuery(build_alks(False))
+        want = run(local)
+        with _FakePeer(5, drop_mid_window) as peer:
+            with RemoteSafetyQuery(_peer_config(peer, max_retries=2)) \
+                    as remote:
+                assert run(remote) == want
+                assert (remote.retries, remote.reconnects) == (1, 1)
+                assert remote.query_count == local.query_count
+
+
+def test_the_learner_over_the_wire_windows_its_draws_and_learns_the_same():
+    cfg = LearnerConfig(horizon=8, sample_budget=200, rng_seed=1)
+    want, want_stats = learn_safe_set(MachineSafetyQuery(build_alks(False)),
+                                      cfg)
+    with RemoteSafetyQuery(BlackBoxConfig(
+            command=SERVE_WTO, unsafe_outputs=frozenset({"alarm"}))) as remote:
+        learned, stats = learn_safe_set(remote, cfg)
+        stats.wall_time = want_stats.wall_time
+        assert (learned, stats) == (want, want_stats)
+        assert remote.requests == 1 + 9 * remote.query_count
+        # each oracle query is one write, and draws share theirs
+        assert remote.writes < 1 + remote.query_count
 
 
 def _parsed_step_reply(line, unsafe):
