@@ -52,8 +52,6 @@ ORACLE_PAPER_LITERAL = "paper-literal"
 DEFAULT_SAMPLE_ATTEMPT_CAP = 100_000
 DEFAULT_ORACLE_EXPANSION_CAP = 1_000_000
 
-_FREE = frozenset((None,))  # what a monomial holds at a don't-care step
-
 
 @dataclass(frozen=True)
 class LearnerConfig:
@@ -123,10 +121,9 @@ def query_oracle(sul: SafetyQuery, candidate: Monomial,
     A candidate whose expansion exceeds ``DEFAULT_ORACLE_EXPANSION_CAP``
     is rejected, and logged at INFO (``-v`` shows it), rather than
     queried: "too big to check" must degrade to "keep the binding",
-    never to a fabricated verdict. A bound symbol outside the alphabet
-    is a ValidationError.
-    Past these checks the adapter answers the whole candidate
-    (``SafetyQuery.answer_monomial``).
+    never to a fabricated verdict. Past these checks the adapter answers
+    the whole candidate (``SafetyQuery.answer_monomial``), and raises
+    ValidationError for a bound symbol outside the alphabet.
     """
     if semantics not in (ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL):
         raise ValidationError(f"unknown oracle semantics {semantics!r}")
@@ -136,8 +133,6 @@ def query_oracle(sul: SafetyQuery, candidate: Monomial,
             "not generalizing %s: expansion of %d sequences exceeds cap %d",
             candidate, size, DEFAULT_ORACLE_EXPANSION_CAP)
         return False
-    if not set(candidate.symbols) - sul._symbol_set <= _FREE:
-        candidate.check_alphabet(sul.input_alphabet)  # raises, naming them
     return sul.answer_monomial(candidate, semantics == ORACLE_ALL_SAFE)
 
 

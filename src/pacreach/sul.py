@@ -34,6 +34,8 @@ __all__ = ["Draws", "SafetyQuery", "MachineSafetyQuery"]
 # SafetyQuery.draws reads its generator this many 32-bit words at a time.
 DRAW_BLOCK_WORDS = 4096
 
+_FREE = frozenset((None,))  # what a monomial holds at a don't-care step
+
 
 class Draws:
     """The stream of runs that ``SafetyQuery.draws`` returns; iterating
@@ -55,7 +57,8 @@ class SafetyQuery(ABC):
 
     The alphabet is fixed when the adapter is built: a subclass passes it
     to ``__init__``, which keeps it as the tuple ``input_alphabet`` (its
-    order is canonical) and raises ValidationError if it is empty.
+    order is canonical). An empty one is a ValidationError, and so is one
+    that repeats a symbol: it would count some sequences more than once.
 
     ``query_count`` counts answered queries; failed queries (transport
     errors and the like) do not count. ``is_safe`` answers one and adds
@@ -72,6 +75,8 @@ class SafetyQuery(ABC):
         if not self.input_alphabet:
             raise ValidationError("input alphabet is empty")
         self._symbol_set = frozenset(self.input_alphabet)
+        if len(self._symbol_set) < len(self.input_alphabet):
+            raise ValidationError("input alphabet repeats a symbol")
         self.query_count = 0
 
     @abstractmethod
@@ -250,6 +255,8 @@ class MachineSafetyQuery(SafetyQuery):
         that is iff the initial state lies in ``stop[0]`` below.
         """
         symbols = candidate.symbols
+        if not set(symbols) - self._symbol_set <= _FREE:
+            candidate.check_alphabet(self.input_alphabet)  # raises, naming them
         # stop[pos]: the states from which some covered suffix
         # symbols[pos:] ends in a state that stops the expansion loop
         stop = [0] * (len(symbols) + 1)

@@ -16,10 +16,10 @@ write-ahead is bounded: at most WRITE_AHEAD_BYTES of requests are
 unanswered at any time, and a longer sequence goes out in windows, each
 sent once the previous one is answered. That keeps the client from
 blocking in a write while the server blocks writing replies nobody
-reads. Random runs (``SafetyQuery.draws``) share windows: an exchange
-sends as many whole runs as fit, of those the learner or the baseline
-will take for certain. An oracle query, whose verdict decides whether
-the next is asked, is the one-run case of the same exchange. The client
+reads. Oracle runs and random runs (``SafetyQuery.draws``) take one
+path, an exchange: it sends as many whole random runs as fit, of those
+the learner or the baseline will take for certain, and an oracle query,
+whose verdict decides whether the next is asked, alone. The client
 checks the replies each read brings as soon as it arrives, so a bad
 reply fails without waiting for the rest of the window; the timeout
 bounds each wait for the next reply line. It checks each distinct STEP
@@ -32,8 +32,8 @@ reply reaches the next query. The protocol has no verdict for the
 empty sequence, so the client refuses to ask for one. A subprocess
 that closes only its stdin still holds the connection; its exit closes
 it. A lost connection (a timeout, a closed connection, a failed read or
-write, a failed TCP connect) is retried on a fresh connection a bounded
-number of times before the client gives up loudly. A peer that breaks
+write, a failed TCP connect) retries the exchange on a fresh connection
+a bounded number of times before the client gives up. A peer that breaks
 the protocol, or a command that cannot be started, fails at once: a
 fresh connection would meet the same fault. The client never invents a
 verdict: the learning guarantee assumes every answered query is
@@ -361,8 +361,8 @@ class RemoteSafetyQuery(SafetyQuery):
         still in flight on it. Only a lost connection is tried again,
         afresh; any other transport error is raised at once.
         """
-        failures = []
-        for tries in range(self.config.max_retries + 1):
+        attempts = self.config.max_retries + 1
+        for tries in range(attempts):
             if tries:
                 self.retries += 1
             try:
@@ -372,9 +372,8 @@ class RemoteSafetyQuery(SafetyQuery):
                 self.close()
                 if not isinstance(exc, _ConnectionLost):
                     raise
-                failures.append(str(exc))
-        raise TransportError(
-            f"giving up after {len(failures)} attempts: {failures[-1]}")
+                failure = str(exc)
+        raise TransportError(f"giving up after {attempts} attempts: {failure}")
 
     # -- protocol ------------------------------------------------------------
 
@@ -394,38 +393,36 @@ class RemoteSafetyQuery(SafetyQuery):
             raise TransportError(f"bad ALPHABET reply: {' '.join(tokens)}")
         return tuple(symbols)
 
+    def _verdicts(self, seqs: list[tuple[str, ...]]) -> list[bool]:
+        """One exchange's verdicts for ``seqs``, runs of one length n > 0."""
+        requests: list[bytes] = []
+        for seq in seqs:
+            requests.append(_RESET)
+            requests += map(self._steps.__getitem__, seq)
+        n = len(seqs[0])
+        return self._with_retries(lambda: self._exchange(requests, n))
+
     def _answer(self, seq: tuple[str, ...]) -> bool:
         if not seq:
             raise ValidationError(
                 "the wire protocol has no verdict for an empty run")
-        requests = [_RESET, *map(self._steps.__getitem__, seq)]
-        (verdict,) = self._with_retries(
-            lambda: self._exchange(requests, len(seq)))
+        (verdict,) = self._verdicts([seq])
         return verdict
 
     def _draws(self, n, alphabet, blocks, stream):
-        # SafetyQuery.draws, a window of runs per exchange: as many as
-        # the consumer will take for certain (stream.will_take) and fit
-        # in one write window, at least one. An exchange is retried as
-        # a whole after a lost connection.
-        steps = [self._steps[sym] for sym in alphabet]
-        per_window = max(
-            1, WRITE_AHEAD_BYTES // (len(_RESET) + n * max(map(len, steps))))
-        runs = (block[i:i + n] for block in blocks
+        # a window of runs per exchange: as many as the consumer will
+        # take for certain and fit in one write window, at least one
+        per_window = max(1, WRITE_AHEAD_BYTES // (
+            len(_RESET) + n * max(map(len, self._steps.values()))))
+        runs = (_symbols(alphabet, block[i:i + n]) for block in blocks
                 for i in range(0, len(block), n))
         while True:
             window = list(islice(runs, max(1, min(stream.will_take,
                                                   per_window))))
-            requests: list[bytes] = []
-            for run in window:
-                requests.append(_RESET)
-                requests += map(steps.__getitem__, run)
-            verdicts = self._with_retries(
-                lambda: self._exchange(requests, n))
-            for run, safe in zip(window, verdicts):
+            for seq, safe in zip(window, self._verdicts(window)):
                 self.query_count += 1
                 stream.will_take -= 1
-                yield safe, _symbols(alphabet, run)
+                yield safe, seq
 
 
 def _reply_tokens(reply: bytes) -> list[str]:

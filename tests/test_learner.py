@@ -114,13 +114,19 @@ def test_query_oracle_rejects_unknown_semantics_over_the_cap(caplog):
 ])
 def test_query_oracle_rejects_a_bound_symbol_outside_the_alphabet(
         semantics, bindings, unknown):
+    # the adapter checks, so a direct answer_monomial call fails alike
+    candidate = Monomial.from_map(3, bindings)
     for sul in (MachineSafetyQuery(build_alks(False)),
                 _BlackBox(build_alks(False))):
         sul.query_count = 5
-        with pytest.raises(ValidationError) as info:
-            query_oracle(sul, Monomial.from_map(3, bindings), semantics)
-        assert str(info.value) == f"bound symbols not in alphabet: {unknown}"
-        assert sul.query_count == 5
+        for ask in (lambda: query_oracle(sul, candidate, semantics),
+                    lambda: sul.answer_monomial(
+                        candidate, semantics == ORACLE_ALL_SAFE)):
+            with pytest.raises(ValidationError) as info:
+                ask()
+            assert str(info.value) == (
+                f"bound symbols not in alphabet: {unknown}")
+            assert sul.query_count == 5
 
 
 def test_learn_on_all_safe_machine_collapses_to_one_empty_monomial():

@@ -126,6 +126,10 @@ def test_an_adapter_is_built_with_a_non_empty_alphabet():
         with pytest.raises(ValidationError,
                            match="^input alphabet is empty$"):
             NoInputs(empty)
+    # a repeated symbol would count sequences over ("a", "a", "b") twice
+    with pytest.raises(ValidationError,
+                       match="^input alphabet repeats a symbol$"):
+        NoInputs(("a", "a", "b"))
     sul = NoInputs(iter(["a", "b"]))
     assert sul.input_alphabet == ("a", "b")
     assert sul._symbol_set == frozenset({"a", "b"})

@@ -940,6 +940,9 @@ def test_the_learner_over_the_wire_windows_its_draws_and_learns_the_same():
         stats.wall_time = want_stats.wall_time
         assert (learned, stats) == (want, want_stats)
         assert remote.requests == 1 + 9 * remote.query_count
+        # the traffic, which no window size moves
+        assert (remote.requests, remote.bytes_sent,
+                remote.bytes_received) == (27_451, 189_109, 205_339)
         # each oracle query is one write, and draws share theirs
         assert remote.writes < 1 + remote.query_count
 
