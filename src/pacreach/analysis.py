@@ -170,14 +170,15 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
     """Full pipeline against a machine (white-box) or a SafetyQuery.
 
     Exactly one of ``sample_budget`` and ``target_confidence`` selects
-    the mode. Budget mode runs once. Target-confidence mode sizes the
-    budget from the bound, which needs the covered-count's magnitude up
-    front: pass ``d_bound`` as an upper estimate, or leave it out to let
-    the budget be doubled until the achieved confidence reaches the
-    target (at most ``MAX_CONFIDENCE_ROUNDS`` rounds). A doubling round
-    re-runs only the learner and the bound; the baseline, the census and
-    the confidence are the returned round's own, so over the rounds the
-    chances that some round's claim is wrong add up (union bound).
+    the mode. Budget mode runs once. Target-confidence (sizing) mode
+    starts at the budget the bound needs for ``d_bound`` covered paths
+    (0 without it) and doubles it until the achieved confidence reaches
+    the target (at most ``MAX_CONFIDENCE_ROUNDS`` rounds). Every round
+    uses budget mode's seeds, so the report equals budget mode's at its
+    ``samples``. A doubling round re-runs only the learner and the
+    bound; the baseline, the census and the confidence are the returned
+    round's own, so over the rounds the chances that some round's claim
+    is wrong add up (union bound).
     """
     if isinstance(target, MealyMachine):
         machine: MealyMachine | None = target
@@ -200,35 +201,33 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
     total = len(alphabet) ** horizon
 
     if sample_budget is not None:
-        budgets = [(sample_budget, "main")]
-    elif d_bound is not None:
-        budgets = [(required_samples(rate_for_confidence(target_confidence),
-                                     d_bound), "main")]
+        budgets = [sample_budget]
     else:
-        # No covered-count bound given: double the budget until the
-        # achieved confidence catches up with the target.
-        base = required_samples(rate_for_confidence(target_confidence), 0)
-        budgets = [(base * 2 ** round_no, f"round{round_no}")
-                   for round_no in range(MAX_CONFIDENCE_ROUNDS)]
-    for budget, label in budgets:
+        # Sizing mode: start at the bound's budget for d_bound covered
+        # paths (0 without it) and double. Every round uses budget
+        # mode's seeds, so the report is budget mode's at its samples.
+        base = required_samples(rate_for_confidence(target_confidence),
+                                d_bound or 0)
+        budgets = [base * 2 ** k for k in range(MAX_CONFIDENCE_ROUNDS)]
+    for budget in budgets:
         cfg = LearnerConfig(
             horizon=horizon, sample_budget=budget,
-            rng_seed=derive_seed(seed, f"learner:{label}"),
+            rng_seed=derive_seed(seed, "learner:main"),
             oracle_semantics=oracle_semantics)
         learned, stats = learn_safe_set(sul, cfg)
         formula = learned.count_formula(len(alphabet))
         exact, used, upper, clipped = _count_exact_or_fallback(
             learned, alphabet, formula, total)
         bound = solve_confidence(budget, used)
-        if label == "main" or bound.confidence >= target_confidence:
+        if target_confidence is None or bound.confidence >= target_confidence:
             break
     else:
         raise ResourceCapError(
             f"confidence {target_confidence} not reached within "
             f"{MAX_CONFIDENCE_ROUNDS} doubling rounds (budget reached "
-            f"{budget}); pass d_bound or lower the target")
+            f"{budget}); raise d_bound or lower the target")
     baseline = monte_carlo(sul, horizon, budget,
-                           derive_seed(seed, f"monte-carlo:{label}"))
+                           derive_seed(seed, "monte-carlo:main"))
     exact_paths = exact_prob = None
     if machine is not None:
         census = exact_count_dp(machine, horizon)
