@@ -78,8 +78,8 @@ def _open_target(args):
         machine = resolve_model(args.model)
         yield machine, machine, Path(args.model).stem
         return
-    tokens = frozenset(
-        t for t in (args.unsafe_outputs or "").split(",") if t)
+    # blanks around a comma are not part of a token; empty pieces drop
+    tokens = {t.strip() for t in (args.unsafe_outputs or "").split(",")} - {""}
     # a flag left out keeps BlackBoxConfig's default
     given = {key: value for key, value in (("timeout", args.timeout),
                                            ("max_retries", args.retries))
@@ -238,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--confidence", type=float,
                    help="target confidence (sizing mode)")
     p.add_argument("--d-bound", type=int,
-                   help="covered-count upper bound for sizing mode")
+                   help="covered-count estimate that sizes sizing "
+                        "mode's first round (default 0)")
     p.add_argument("--seed", type=int, default=analysis.DEFAULT_SEED)
     p.add_argument("--oracle-semantics", default=ORACLE_ALL_SAFE,
                    choices=[ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL])

@@ -121,6 +121,8 @@ class MonomialSet:
                                          compare=False)
 
     def __post_init__(self):
+        if self.horizon < 1:
+            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         self._free = [0] * self.horizon
         self._bound = [{} for _ in range(self.horizon)]
         given, self.monomials = self.monomials, []

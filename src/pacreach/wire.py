@@ -107,7 +107,9 @@ class BlackBoxConfig:
     string) must be set. ``timeout`` bounds, in seconds, each wait for
     the next reply line (and a TCP connect), not a whole query: a query
     of n steps may take up to n + 1 timeouts while its replies keep
-    coming. It must lie in ``(0, MAX_TIMEOUT]``.
+    coming. It must lie in ``(0, MAX_TIMEOUT]``. ``unsafe_outputs`` is
+    kept as a frozenset of reply tokens, each non-empty and free of
+    whitespace; ``max_retries`` is an int >= 0.
     """
 
     command: str | None = None
@@ -130,16 +132,29 @@ class BlackBoxConfig:
             if not argv:
                 raise ValidationError("command must name a program")
             object.__setattr__(self, "argv", argv)
+        if isinstance(self.unsafe_outputs, str):
+            raise ValidationError(
+                "unsafe_outputs must be a collection of tokens, not a string")
+        object.__setattr__(self, "unsafe_outputs",
+                           frozenset(self.unsafe_outputs))
         if not self.unsafe_outputs:
             raise ValidationError(
                 "unsafe_outputs must be non-empty: the verdict is computed "
                 "from output tokens")
+        # a reply token is never empty and never holds whitespace
+        bad = [t for t in self.unsafe_outputs
+               if not isinstance(t, str) or t.split() != [t]]
+        if bad:
+            raise ValidationError(
+                f"unsafe output tokens must be non-empty and hold no "
+                f"whitespace, got {', '.join(sorted(map(repr, bad)))}")
         if not 0 < self.timeout <= MAX_TIMEOUT:
             raise ValidationError(
                 f"timeout must be in (0, {MAX_TIMEOUT}] seconds, "
                 f"got {self.timeout}")
-        if self.max_retries < 0:
-            raise ValidationError("max_retries must be >= 0")
+        if not isinstance(self.max_retries, int) or self.max_retries < 0:
+            raise ValidationError(
+                f"max_retries must be an int >= 0, got {self.max_retries!r}")
 
 
 class _ConnectionLost(TransportError):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from pacreach.models import BUNDLED, build_alks
 from pacreach.monomials import Monomial, MonomialSet
 from pacreach.seeding import derive_seed
 from pacreach.sul import MachineSafetyQuery
+from pacreach.wire import BlackBoxConfig, RemoteSafetyQuery
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +129,8 @@ def test_doubling_runs_the_baseline_and_census_once(monkeypatch):
 
 
 def test_doubling_target_answers_the_learner_rounds_and_one_baseline():
-    # every round's learner queries, re-run on a fresh target with the
-    # round's seed, plus the returned round's Monte Carlo samples
+    # every round's learner queries, re-run on a fresh target with budget
+    # mode's seed, plus the returned round's Monte Carlo samples
     target = MachineSafetyQuery(build_alks(False))
     r = analyze(target, horizon=3, target_confidence=0.9, seed=7)
     base = required_samples(1.0 / (1.0 - 0.9), 0)
@@ -139,9 +141,19 @@ def test_doubling_target_answers_the_learner_rounds_and_one_baseline():
         fresh = MachineSafetyQuery(build_alks(False))
         learn_safe_set(fresh, LearnerConfig(
             horizon=3, sample_budget=base * 2 ** i,
-            rng_seed=derive_seed(7, f"learner:round{i}")))
+            rng_seed=derive_seed(7, "learner:main")))
         learner_queries += fresh.query_count
     assert target.query_count == learner_queries + r.samples
+
+
+def test_a_d_bound_below_the_learned_count_still_reaches_the_target():
+    # the bound's budget for 5 covered paths buys 0.88 at the 17 learned
+    # ones, so the budget doubles from there
+    r = analyze(build_alks(False), horizon=3, target_confidence=0.95,
+                d_bound=5, seed=7)
+    base = required_samples(1.0 / (1.0 - 0.95), 5)
+    assert r.covered_used == 17 and r.confidence >= 0.95
+    assert r.samples in {base * 2 ** k for k in range(1, 8)}
 
 
 def test_target_confidence_doubling_eventually_gives_up(monkeypatch):
@@ -309,13 +321,41 @@ def test_long_horizon_csv_matches_the_golden_file():
     assert reports_to_csv([report]) == golden.read_text(encoding="utf-8")
 
 
+# two doubling runs (5 and 6 rounds) and one d_bound run
+SIZING_RUNS = [("alks_without", 3, 0.9, None), ("alks_with", 5, 0.8, None),
+               ("alks_without", 3, 0.95, 17)]
+
+
 def test_sizing_mode_csv_matches_the_golden_file():
-    # two doubling runs (5 and 6 rounds) and one d_bound run, frozen;
-    # pins the returned round's budget, learner, baseline and census
-    runs = [("alks_without", 3, 0.9, None), ("alks_with", 5, 0.8, None),
-            ("alks_without", 3, 0.95, 17)]
+    # frozen; pins the returned round's budget, learner, baseline and census
     reports = [analyze(BUNDLED[name](), horizon=n, model_name=name,
                        target_confidence=confidence, d_bound=d_bound, seed=7)
-               for name, n, confidence, d_bound in runs]
+               for name, n, confidence, d_bound in SIZING_RUNS]
     golden = Path(__file__).parent / "golden" / "sizing_seed7.csv"
     assert reports_to_csv(reports) == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, n, confidence, d_bound", SIZING_RUNS)
+def test_a_sizing_report_is_the_budget_mode_report_at_its_samples(
+        name, n, confidence, d_bound):
+    def run(**mode):
+        return analyze(BUNDLED[name](), horizon=n, model_name=name, seed=7,
+                       **mode)
+    sizing = run(target_confidence=confidence, d_bound=d_bound)
+    budget = run(sample_budget=sizing.samples)
+    assert reports_to_csv([sizing]) == reports_to_csv([budget])
+
+
+def test_a_sizing_report_over_the_wire_is_budget_mode_at_its_samples():
+    cfg = BlackBoxConfig(command=f"{sys.executable} -m pacreach.cli "
+                                 f"serve-model --model alks_without --stdio",
+                         unsafe_outputs=frozenset({"alarm"}))
+
+    def run(**mode):
+        with RemoteSafetyQuery(cfg) as remote:
+            return analyze(remote, horizon=3, model_name="alks_without",
+                           seed=7, **mode)
+    sizing = run(target_confidence=0.9)
+    assert sizing.samples == 752
+    assert (reports_to_csv([sizing])
+            == reports_to_csv([run(sample_budget=sizing.samples)]))

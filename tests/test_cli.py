@@ -469,6 +469,16 @@ def test_estimate_over_the_wire_prints_what_the_model_prints(capsys):
                                       "alks_without", *args)
 
 
+def test_unsafe_outputs_are_split_on_commas_and_stripped(capsys):
+    # " alarm" once matched no reply token, so every run read safe
+    args = ("-n", "3", "-L", "2000", "--seed", "7")
+    code, remote, _ = run_cli(capsys, "estimate", "--cmd", SERVE_WTO,
+                              "--unsafe-outputs", "nothing, alarm ,", *args)
+    assert code == 0
+    assert (0, remote, "") == run_cli(capsys, "estimate", "--model",
+                                      "alks_without", *args)
+
+
 def test_estimate_with_a_zero_horizon_exits_2(capsys):
     code, out, err = run_cli(capsys, "estimate", "--model", "alks_with",
                              "-n", "0", "-L", "10")

@@ -273,6 +273,9 @@ def test_set_validation():
         MonomialSet(2, (mono(2, {1: "a"}), mono(2, {1: "a"})))
     with pytest.raises(ValidationError, match="horizon"):
         MonomialSet(2, (mono(3, {1: "a"}),))
+    for horizon in (0, -1):
+        with pytest.raises(ValidationError, match="horizon must be >= 1"):
+            MonomialSet(horizon, [])
     g = MonomialSet(2, (mono(2, {1: "a"}),))
     with pytest.raises(ValidationError, match="duplicate"):
         g.add(mono(2, {1: "a"}))

@@ -152,6 +152,19 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         BlackBoxConfig(command="x", unsafe_outputs=frozenset({"b"}),
                        timeout=0)
+    # a string's `in` test matches substrings, not tokens
+    with pytest.raises(ValidationError, match="not a string"):
+        BlackBoxConfig(command="x", unsafe_outputs="broken")
+    # a reply token is never empty and never holds whitespace
+    for tokens in ({""}, {" alarm"}, {"ok", "al arm"}, {"alarm\t"}):
+        with pytest.raises(ValidationError, match="no whitespace"):
+            BlackBoxConfig(command="x", unsafe_outputs=tokens)
+    for retries in (1.5, "2", -1):
+        with pytest.raises(ValidationError, match="max_retries"):
+            BlackBoxConfig(command="x", unsafe_outputs=frozenset({"b"}),
+                           max_retries=retries)
+    config = BlackBoxConfig(command="x", unsafe_outputs=["b", "c"])
+    assert config.unsafe_outputs == frozenset({"b", "c"})
     for address in ("noport", ":80", "h:-1", "h:65536", "h:²"):
         with pytest.raises(ValidationError, match="HOST:PORT"):
             parse_host_port(address)
