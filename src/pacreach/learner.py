@@ -16,15 +16,17 @@ kind of oracle sometimes reads that way, but it is unsound: it happily
 generalizes over unsafe behaviour. Nothing in this package uses it
 except by explicit request.
 
-The oracle asks the adapter about the whole candidate at once
-(``SafetyQuery.answer_monomial``). A black box runs the covered
-sequences one by one; a machine computes the same verdict, and the
-number of queries that loop would have made, from one backward pass
-over its states. Either way ``query_count`` moves by that number.
+The adapter generalizes a whole example (``SafetyQuery.generalize``).
+A black box asks about the n candidates one at a time and runs covered
+sequences until one decides each verdict; a machine computes the same
+monomial, and the number of queries those loops would have made, in one
+sweep over its states. Either way ``query_count`` moves by that number.
 
 Two module constants bound the work and are read at call time:
 ``DEFAULT_SAMPLE_ATTEMPT_CAP`` draws per safe example, and
-``DEFAULT_ORACLE_EXPANSION_CAP`` sequences per oracle call.
+``DEFAULT_ORACLE_EXPANSION_CAP`` sequences per oracle call. A refusal
+frees no step, so the learner has the adapter free at most the steps the
+cap allows, and logs every later candidate as refused.
 """
 
 from __future__ import annotations
@@ -146,6 +148,10 @@ def learn_safe_set(sul: SafetyQuery,
     """
     draws = sul.draws(cfg.horizon, random.Random(cfg.rng_seed))
     items, cap = iter(draws), DEFAULT_SAMPLE_ATTEMPT_CAP
+    k, expansion_cap = len(sul.input_alphabet), DEFAULT_ORACLE_EXPANSION_CAP
+    max_free = 0  # the most free steps a candidate under the cap can have
+    while max_free < cfg.horizon and k ** (max_free + 1) <= expansion_cap:
+        max_free += 1
     learned = MonomialSet(cfg.horizon, ())
     stats = LearnerStats()
     started = time.perf_counter()
@@ -160,12 +166,17 @@ def learn_safe_set(sul: SafetyQuery,
             stats.examples_skipped_implied += 1
             continue
         before = sul.query_count
-        for pos in range(1, cfg.horizon + 1):
-            candidate = example.without(pos)
-            if query_oracle(sul, candidate, cfg.oracle_semantics):
-                example = candidate
+        example = sul.generalize(
+            example, cfg.oracle_semantics == ORACLE_ALL_SAFE, max_free)
         stats.oracle_calls += cfg.horizon
         stats.oracle_sequence_queries += sul.query_count - before
+        free = [pos for pos, sym in enumerate(example.symbols, 1)
+                if sym is None]
+        if len(free) == max_free:  # every later candidate was refused
+            for pos in range(max(free, default=0) + 1, cfg.horizon + 1):
+                log.info("not generalizing %s: expansion of %d sequences "
+                         "exceeds cap %d", example.without(pos),
+                         k ** (max_free + 1), expansion_cap)
         # a duplicate would have implied the draw, which was skipped above
         learned.add(example)
         log.info("appended %s", example)

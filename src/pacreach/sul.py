@@ -7,7 +7,9 @@ classifies the final output token. Every adapter fixes its input
 alphabet when it is built: the machine's declared inputs, or the wire's
 ALPHABET handshake. The learner, the Monte Carlo baseline and the CLI
 all talk to this interface only, so a model file and a live black box
-are interchangeable.
+are interchangeable. The learner has an adapter generalize one example
+at a time (``SafetyQuery.generalize``): a black box asks about its n
+candidates one by one, a machine answers them all in one sweep.
 
 The learner and the Monte Carlo baseline take random input runs from
 one stream, ``SafetyQuery.draws``: the sequences that ``rng.choice``
@@ -104,6 +106,30 @@ class SafetyQuery(ABC):
                 return not want_all
         return want_all
 
+    def generalize(self, example: Monomial, want_all: bool,
+                   max_free: int) -> Monomial:
+        """The learner's generalization of one fully bound example.
+
+        For step 1..n in turn, keep ``example.without(step)`` when
+        ``answer_monomial`` accepts it, until ``max_free`` steps are
+        free. A bad example (no step, a free step, a symbol outside the
+        alphabet) raises ValidationError before any query.
+        """
+        self._check_example(example)
+        free = 0
+        for pos in range(1, example.horizon + 1):
+            candidate = example.without(pos)
+            if free < max_free and self.answer_monomial(candidate, want_all):
+                example, free = candidate, free + 1
+        return example
+
+    def _check_example(self, example: Monomial) -> None:
+        if not example.symbols:
+            raise ValidationError("horizon must be >= 1, got 0")
+        if None in example.symbols:
+            raise ValidationError(f"example {example} is not fully bound")
+        example.check_alphabet(self.input_alphabet)
+
     def draws(self, n: int, rng: random.Random) -> Draws:
         """Uniform random length-n sequences with their verdicts, lazily.
 
@@ -196,9 +222,13 @@ class MachineSafetyQuery(SafetyQuery):
 
     A whole monomial is answered without running its sequences, by one
     backward pass over sets of states (the bounded-reachability step of
-    symbolic model checking). ``query_count`` still grows by exactly the
-    number of queries the default expansion loop would have made, so
-    the counts in a report do not depend on which way it was answered.
+    symbolic model checking), and a whole example is generalized by one
+    sweep: a backward pass over its bound suffixes and a forward one over
+    the kept prefix. Each direction keeps a memo of its steps, keyed by
+    (symbol or None, mask), so at most (|I| + 1) * 2^|S| entries each.
+    ``query_count`` still grows by exactly the number of queries the
+    default loops would have made, so the counts in a report do not
+    depend on which way it was answered.
     """
 
     def __init__(self, machine: MealyMachine):
@@ -212,9 +242,7 @@ class MachineSafetyQuery(SafetyQuery):
         self._initial = number[machine.initial]
         self._safe = sum(1 << number[s] for s in machine.safe_states)
         self._unsafe = (1 << len(machine.states)) - 1 - self._safe
-        # _preimage memoised: (symbol or None, mask) -> mask, filled as
-        # the backward pass meets them, at most (|I| + 1) * 2^|S| entries
-        self._image = {}
+        self._image, self._forward = {}, {}  # _across, backward and forward
 
     def _answer(self, seq: tuple[str, ...]) -> bool:
         state = self._initial
@@ -238,42 +266,83 @@ class MachineSafetyQuery(SafetyQuery):
                 else:
                     yield False, None
 
-    def _preimage(self, sym: str | None, mask: int) -> int:
+    def _across(self, sym: str | None, mask: int, forward=False) -> int:
         """The mask of states from which ``sym`` (any symbol, for None)
-        leads into ``mask``, read off ``_succ``."""
+        leads into ``mask``; with ``forward``, of the states it leads to
+        from ``mask``. Read off ``_succ`` once per key."""
+        memo = self._forward if forward else self._image
+        into = memo.get((sym, mask))
+        if into is not None:
+            return into
         into = 0
         for succ in self._succ.values() if sym is None else [self._succ[sym]]:
             for k, dst in enumerate(succ):
-                into |= (mask >> dst & 1) << k
+                into |= ((mask >> k & 1) << dst if forward
+                         else (mask >> dst & 1) << k)
+        memo[sym, mask] = into
         return into
+
+    def _stops(self, symbols, want_all: bool) -> list[int]:
+        """stop[pos]: the states from which some covered suffix symbols[pos:]
+        ends in a stopping state: unsafe if ``want_all``, else safe."""
+        stop = [0] * len(symbols) + [self._unsafe if want_all else self._safe]
+        for pos in range(len(symbols) - 1, -1, -1):
+            stop[pos] = self._across(symbols[pos], stop[pos + 1])
+        return stop
 
     def answer_monomial(self, candidate: Monomial, want_all: bool) -> bool:
         """The default loop's verdict and query count, without its runs.
 
         The loop stops early iff some covered sequence ends in a state
-        that decides the answer (unsafe when ``want_all``, else safe),
-        that is iff the initial state lies in ``stop[0]`` below.
+        that decides the answer, that is iff the initial state lies in
+        ``stop[0]`` (see ``_stops``).
         """
         symbols = candidate.symbols
         if not set(symbols) - self._symbol_set <= _FREE:
             candidate.check_alphabet(self.input_alphabet)  # raises, naming them
-        # stop[pos]: the states from which some covered suffix
-        # symbols[pos:] ends in a state that stops the expansion loop
-        stop = [0] * (len(symbols) + 1)
-        stop[-1] = self._unsafe if want_all else self._safe
-        image = self._image
-        for pos in range(len(symbols) - 1, -1, -1):
-            key = (symbols[pos], stop[pos + 1])
-            into = image.get(key)
-            if into is None:
-                into = image[key] = self._preimage(*key)
-            stop[pos] = into
-        alphabet = self.input_alphabet
+        stop = self._stops(symbols, want_all)
         if not stop[0] >> self._initial & 1:
-            self.query_count += candidate.expansion_size(len(alphabet))
+            self.query_count += candidate.expansion_size(len(self._succ))
             return want_all
-        # Walk the loop's order to its first stopping sequence: each
-        # sibling subtree passed on the way is queried in full.
+        self.query_count += self._walk(symbols, stop)
+        return not want_all
+
+    def generalize(self, example: Monomial, want_all: bool,
+                   max_free: int) -> Monomial:
+        """The default loop's monomial and query count, in one sweep.
+
+        Candidate q is the kept prefix, a free step q and the example's
+        own suffix, so the loop stops on it iff ``reach``, the states the
+        kept prefix leads to, meets the preimage of ``after[q + 1]``, the
+        example's ``_stops``. Only a candidate that stops is walked.
+        """
+        self._check_example(example)
+        after = self._stops(example.symbols, want_all)
+        kept, reach, free = list(example.symbols), 1 << self._initial, []
+        for q in range(len(kept)):
+            if len(free) >= max_free:
+                break
+            stop = self._across(None, after[q + 1])
+            stops = bool(reach & stop)
+            if stops:  # walk to q only (bound steps add no queries),
+                masks = after[:]  # filling masks for its free steps only
+                masks[q] = stop
+                for pos in range(q - 1, free[0] if free else q, -1):
+                    masks[pos] = self._across(kept[pos], masks[pos + 1])
+                self.query_count += self._walk(kept[:q] + [None], masks)
+            else:
+                self.query_count += len(self._succ) ** (len(free) + 1)
+            if stops != want_all:
+                kept[q] = None
+                free.append(q)
+            reach = self._across(kept[q], reach, forward=True)
+        return Monomial(tuple(kept))
+
+    def _walk(self, symbols, stop: list[int]) -> int:
+        """The queries the default loop makes up to its first stopping
+        sequence, which must exist, reading ``stop[pos + 1]`` at each
+        free step: it passes each sibling subtree on the way in full."""
+        alphabet = self.input_alphabet
         queries, state = 1, self._initial
         free_after = symbols.count(None)
         for pos, sym in enumerate(symbols):
@@ -286,5 +355,4 @@ class MachineSafetyQuery(SafetyQuery):
                     break
                 queries += len(alphabet) ** free_after
             state = self._succ[choice][state]
-        self.query_count += queries
-        return not want_all
+        return queries

@@ -10,10 +10,10 @@ from pacreach.baselines import monte_carlo
 from pacreach.errors import (SamplingCapError, TransportError,
                              ValidationError)
 from pacreach.learner import (ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL,
-                              LearnerConfig, draw_safe_example,
+                              LearnerConfig, LearnerStats, draw_safe_example,
                               learn_safe_set, query_oracle)
 from pacreach.models import BUNDLED, build_alks
-from pacreach.monomials import Monomial
+from pacreach.monomials import Monomial, MonomialSet
 from pacreach.sul import MachineSafetyQuery, SafetyQuery
 from pacreach.wire import BlackBoxConfig, RemoteSafetyQuery
 
@@ -209,20 +209,69 @@ def test_seeds_change_the_sampling_path():
 
 def test_adapter_accounting_identity(monkeypatch):
     calls = []
-
-    def counted_oracle(*args):
-        calls.append(args)
-        return query_oracle(*args)
-
-    monkeypatch.setattr(learner, "query_oracle", counted_oracle)
     sul = MachineSafetyQuery(build_alks(True))
+
+    def counted_generalize(*args):
+        calls.append(args)
+        return MachineSafetyQuery.generalize(sul, *args)
+
+    monkeypatch.setattr(sul, "generalize", counted_generalize)
     _, stats = learn_safe_set(
         sul, LearnerConfig(horizon=4, sample_budget=300, rng_seed=4))
     assert sul.query_count == stats.sample_attempts + \
         stats.oracle_sequence_queries
     assert stats.sample_attempts >= stats.examples_drawn == 300
-    assert stats.oracle_calls == len(calls) == 4 * (
+    assert stats.oracle_calls == 4 * len(calls) == 4 * (
         stats.examples_drawn - stats.examples_skipped_implied)
+
+
+def _per_candidate_learner(sul, cfg):
+    """The learner as it was before ``SafetyQuery.generalize``: one
+    ``query_oracle`` call per candidate, which checks and logs the cap."""
+    draws = sul.draws(cfg.horizon, random.Random(cfg.rng_seed))
+    items, learned = iter(draws), MonomialSet(cfg.horizon, ())
+    stats = LearnerStats()
+    for left in range(cfg.sample_budget, 0, -1):
+        draws.will_take = min(left, learner.DEFAULT_SAMPLE_ATTEMPT_CAP)
+        before = sul.query_count
+        example = draw_safe_example(items)
+        stats.sample_attempts += sul.query_count - before
+        stats.examples_drawn += 1
+        if learned.implies(example):
+            stats.examples_skipped_implied += 1
+            continue
+        before = sul.query_count
+        for pos in range(1, cfg.horizon + 1):
+            candidate = example.without(pos)
+            if query_oracle(sul, candidate, cfg.oracle_semantics):
+                example = candidate
+        stats.oracle_calls += cfg.horizon
+        stats.oracle_sequence_queries += sul.query_count - before
+        learned.add(example)
+        learner.log.info("appended %s", example)
+    return learned, stats
+
+
+@pytest.mark.parametrize("cap", [1, 3, 9])
+@pytest.mark.parametrize("semantics", [ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL])
+def test_the_cap_gives_the_per_candidate_learners_set_stats_and_log(
+        caplog, monkeypatch, cap, semantics):
+    # 3 inputs: caps 1, 3 and 9 let a candidate free 0, 1 and 2 steps
+    monkeypatch.setattr(learner, "DEFAULT_ORACLE_EXPANSION_CAP", cap)
+    machine = build_alks(True)
+    cfg = LearnerConfig(horizon=4, sample_budget=60, rng_seed=3,
+                        oracle_semantics=semantics)
+    runs = []
+    for run, sul in ((_per_candidate_learner, MachineSafetyQuery(machine)),
+                     (learn_safe_set, MachineSafetyQuery(machine)),
+                     (learn_safe_set, _BlackBox(machine))):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="pacreach.learner"):
+            learned, stats = run(sul, cfg)
+        stats.wall_time = 0.0
+        runs.append((learned, stats, sul.query_count, caplog.messages))
+    assert runs[1] == runs[0] == runs[2]
+    assert any("exceeds cap" in line for line in runs[0][3])
 
 
 def test_any_safe_oracle_overgeneralizes():

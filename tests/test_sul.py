@@ -14,9 +14,11 @@ from pacreach.sul import (DRAW_BLOCK_WORDS, MachineSafetyQuery, SafetyQuery,
 
 
 class LoopOnly(MachineSafetyQuery):
-    """The machine adapter on the default expansion loop: one run per query."""
+    """The machine adapter on the default loops: one run per query, one
+    ``answer_monomial`` call per candidate of an example."""
 
     answer_monomial = SafetyQuery.answer_monomial
+    generalize = SafetyQuery.generalize
 
 
 class BlackBox(SafetyQuery):
@@ -199,14 +201,63 @@ def test_one_machine_adapter_answers_a_run_of_cubes_like_the_loop(data):
     asked = data.draw(st.lists(cubes(machine.inputs), min_size=1,
                                max_size=20))
     for cube in asked:
+        # the cube with its free steps bound is an example to generalize
+        example = Monomial(tuple(machine.inputs[-1] if sym is None else sym
+                                 for sym in cube.symbols))
         for want_all in (True, False):
             loop = LoopOnly(machine)
             before = fast.query_count
             verdict = fast.answer_monomial(cube, want_all)
             assert verdict == loop.answer_monomial(cube, want_all)
             assert fast.query_count - before == loop.query_count
+            before, loop.query_count = fast.query_count, 0
+            general = fast.generalize(example, want_all, example.horizon)
+            assert general == loop.generalize(example, want_all,
+                                              example.horizon)
+            assert fast.query_count - before == loop.query_count
     images = (len(machine.inputs) + 1) * 2 ** len(machine.states)
     assert len(fast._image) <= images
+    assert len(fast._forward) <= images
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_machine_generalize_matches_the_loop(data):
+    # every candidate of the example, swept at once, against one
+    # answer_monomial call per candidate
+    machine = data.draw(machines())
+    n = data.draw(st.integers(1, 7))
+    example = Monomial(tuple(data.draw(st.lists(
+        st.sampled_from(machine.inputs), min_size=n, max_size=n))))
+    for want_all in (True, False):
+        for max_free in (0, 1, n):
+            fast, loop = MachineSafetyQuery(machine), LoopOnly(machine)
+            fast.query_count = loop.query_count = 5  # a delta, not a total
+            general = fast.generalize(example, want_all, max_free)
+            assert general == loop.generalize(example, want_all, max_free)
+            assert fast.query_count == loop.query_count
+            assert general.symbols.count(None) <= max_free
+            assert all(sym in (None, bound) for sym, bound
+                       in zip(general.symbols, example.symbols))
+
+
+@pytest.mark.parametrize("adapter", [MachineSafetyQuery, BlackBox])
+@pytest.mark.parametrize("example,message", [
+    (Monomial(()), "^horizon must be >= 1, got 0$"),
+    (Monomial(("x", "l")), r"^bound symbols not in alphabet: \['x'\]$"),
+    (Monomial(("l", "zz", "b")),
+     r"^bound symbols not in alphabet: \['b', 'zz'\]$"),
+    (Monomial(("l", None, "s")), r"^example \{1=l, 3=s\} is not fully bound$"),
+])
+def test_a_bad_example_is_refused_before_any_query(adapter, example,
+                                                   message):
+    # the first candidate of ("x", "l") drops the unknown symbol, so the
+    # loop alone would answer it; every adapter checks the example first
+    sul = adapter(build_alks(False))
+    for want_all in (True, False):
+        with pytest.raises(ValidationError, match=message):
+            sul.generalize(example, want_all, 2)
+    assert sul.query_count == 0
 
 
 @pytest.mark.parametrize("semantics", [ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL])
@@ -215,7 +266,8 @@ def test_one_machine_adapter_answers_a_run_of_cubes_like_the_loop(data):
 def test_analysis_through_the_loop_gives_the_same_row(model, horizon,
                                                       semantics):
     # analyze(machine) answers through MachineSafetyQuery as well, and
-    # adds the census, which a plain SafetyQuery target leaves empty
+    # adds the census, which a plain SafetyQuery target leaves empty;
+    # LoopOnly generalizes candidate by candidate, the machine in a sweep
     machine = BUNDLED[model]()
     rows = [reports_to_csv([analyze(
         target, horizon=horizon, model_name=model, sample_budget=200,
