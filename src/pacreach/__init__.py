@@ -16,7 +16,7 @@ from .bounds import (PacBound, required_samples, safety_probability,
 from .errors import (PacreachError, ParseError, ResourceCapError,
                      SamplingCapError, TransportError, ValidationError)
 from .learner import (LearnerConfig, LearnerStats, draw_safe_example,
-                      learn_safe_set, query_oracle)
+                      learn_safe_set)
 from .mealy import MealyMachine, RunResult, load_model, parse_model, \
     serialize_model
 from .models import build_alks
@@ -36,7 +36,6 @@ __all__ = [
     "PacreachError", "ParseError", "ResourceCapError", "SamplingCapError",
     "TransportError", "ValidationError",
     "LearnerConfig", "LearnerStats", "draw_safe_example", "learn_safe_set",
-    "query_oracle",
     "MealyMachine", "RunResult", "load_model", "parse_model",
     "serialize_model",
     "build_alks",

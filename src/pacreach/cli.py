@@ -29,6 +29,7 @@ from .bounds import rate_for_confidence, required_samples, solve_confidence
 from .errors import (PacreachError, ResourceCapError, TransportError,
                      ValidationError)
 from .learner import ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL
+from .mealy import MealyMachine
 from .models import resolve_model
 from .seeding import derive_seed
 from .sul import MachineSafetyQuery
@@ -60,7 +61,7 @@ def _add_target_flags(p: argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _open_target(args):
-    """Yields (target for analyze, machine or None, display name).
+    """Yields (target, display name): a MealyMachine or a black box.
 
     A black box's connection, and the child process behind ``--cmd``, is
     closed when the block exits.
@@ -76,7 +77,7 @@ def _open_target(args):
                 raise ValidationError(
                     f"{flag} applies only to --endpoint / --cmd")
         machine = resolve_model(args.model)
-        yield machine, machine, Path(args.model).stem
+        yield machine, Path(args.model).stem
         return
     # blanks around a comma are not part of a token; empty pieces drop
     tokens = {t.strip() for t in (args.unsafe_outputs or "").split(",")} - {""}
@@ -89,7 +90,7 @@ def _open_target(args):
         **given)
     name = args.endpoint or config.argv[0]
     with RemoteSafetyQuery(config) as remote:
-        yield remote, None, name
+        yield remote, name
 
 
 def _check_out(out: str | None):
@@ -134,7 +135,7 @@ def _render_report(report: analysis.AnalysisReport, fmt: str | None) -> str:
 
 def _cmd_analyze(args) -> int:
     _check_out(args.out)
-    with _open_target(args) as (target, _machine, name):
+    with _open_target(args) as (target, name):
         report = analysis.analyze(
             target, horizon=args.n, model_name=name,
             sample_budget=args.samples, target_confidence=args.confidence,
@@ -154,10 +155,11 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    with _open_target(args) as (target, machine, _name):
-        sul = MachineSafetyQuery(machine) if machine is not None else target
+    with _open_target(args) as (target, _name):
+        if isinstance(target, MealyMachine):
+            target = MachineSafetyQuery(target)
         seed = derive_seed(args.seed, "estimate")
-        mc = monte_carlo(sul, args.n, args.samples, seed)
+        mc = monte_carlo(target, args.n, args.samples, seed)
     print(f"samples: {mc.samples}")
     print(f"safe_hits: {mc.safe_hits}")
     print(f"estimate: {mc.estimate!r}")

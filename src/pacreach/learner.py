@@ -123,9 +123,16 @@ def query_oracle(sul: SafetyQuery, candidate: Monomial,
     A candidate whose expansion exceeds ``DEFAULT_ORACLE_EXPANSION_CAP``
     is rejected, and logged at INFO (``-v`` shows it), rather than
     queried: "too big to check" must degrade to "keep the binding",
-    never to a fabricated verdict. Past these checks the adapter answers
-    the whole candidate (``SafetyQuery.answer_monomial``), and raises
+    never to a fabricated verdict. Past these checks every adapter answers
+    by the default loop (``SafetyQuery.answer_monomial``): it runs the
+    covered sequences in order until one decides, and raises
     ValidationError for a bound symbol outside the alphabet.
+
+    ``learn_safe_set`` does not call this: it has the adapter generalize
+    a whole example. It stays as the per-candidate reference that a
+    machine's sweep (``MachineSafetyQuery.generalize``) must agree with,
+    in verdicts and query counts, and because the benchmark's tracer
+    (``perfbench/tracing.py``) patches it by name.
     """
     if semantics not in (ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL):
         raise ValidationError(f"unknown oracle semantics {semantics!r}")

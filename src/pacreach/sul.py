@@ -36,8 +36,6 @@ __all__ = ["Draws", "SafetyQuery", "MachineSafetyQuery"]
 # SafetyQuery.draws reads its generator this many 32-bit words at a time.
 DRAW_BLOCK_WORDS = 4096
 
-_FREE = frozenset((None,))  # what a monomial holds at a don't-care step
-
 
 class Draws:
     """The stream of runs that ``SafetyQuery.draws`` returns; iterating
@@ -65,9 +63,9 @@ class SafetyQuery(ABC):
     ``query_count`` counts answered queries; failed queries (transport
     errors and the like) do not count. ``is_safe`` answers one and adds
     1, and so does each item taken from ``draws``. ``answer_monomial``
-    adds the number of queries its expansion loop makes, whether it runs
-    them (the default) or computes both the verdict and that number
-    without running them (``MachineSafetyQuery``).
+    runs its expansion loop through ``is_safe``. ``generalize`` adds the
+    queries the loops over its candidates make: by default it runs them;
+    ``MachineSafetyQuery`` computes them without running them.
     Implementations must be deterministic: the same sequence always gets
     the same verdict.
     """
@@ -220,15 +218,15 @@ class MachineSafetyQuery(SafetyQuery):
     numbers it reads from the generator the same way, without building
     a symbol tuple for an unsafe draw.
 
-    A whole monomial is answered without running its sequences, by one
-    backward pass over sets of states (the bounded-reachability step of
-    symbolic model checking), and a whole example is generalized by one
-    sweep: a backward pass over its bound suffixes and a forward one over
-    the kept prefix. Each direction keeps a memo of its steps, keyed by
-    (symbol or None, mask), so at most (|I| + 1) * 2^|S| entries each.
-    ``query_count`` still grows by exactly the number of queries the
-    default loops would have made, so the counts in a report do not
-    depend on which way it was answered.
+    A whole example is generalized without running its candidates'
+    sequences, by one sweep over sets of states: a backward pass over its
+    bound suffixes (the bounded-reachability step of symbolic model
+    checking) and a forward one over the kept prefix. Each direction
+    keeps a memo of its steps, keyed by (symbol or None, mask), so at
+    most (|I| + 1) * 2^|S| entries each. ``query_count`` still grows by
+    exactly the number of queries the default loops would have made, so
+    the counts in a report do not depend on which way it was answered.
+    A single candidate (``answer_monomial``) takes the default loop.
     """
 
     def __init__(self, machine: MealyMachine):
@@ -283,29 +281,12 @@ class MachineSafetyQuery(SafetyQuery):
         return into
 
     def _stops(self, symbols, want_all: bool) -> list[int]:
-        """stop[pos]: the states from which some covered suffix symbols[pos:]
+        """stop[pos]: the states from which the bound suffix symbols[pos:]
         ends in a stopping state: unsafe if ``want_all``, else safe."""
         stop = [0] * len(symbols) + [self._unsafe if want_all else self._safe]
         for pos in range(len(symbols) - 1, -1, -1):
             stop[pos] = self._across(symbols[pos], stop[pos + 1])
         return stop
-
-    def answer_monomial(self, candidate: Monomial, want_all: bool) -> bool:
-        """The default loop's verdict and query count, without its runs.
-
-        The loop stops early iff some covered sequence ends in a state
-        that decides the answer, that is iff the initial state lies in
-        ``stop[0]`` (see ``_stops``).
-        """
-        symbols = candidate.symbols
-        if not set(symbols) - self._symbol_set <= _FREE:
-            candidate.check_alphabet(self.input_alphabet)  # raises, naming them
-        stop = self._stops(symbols, want_all)
-        if not stop[0] >> self._initial & 1:
-            self.query_count += candidate.expansion_size(len(self._succ))
-            return want_all
-        self.query_count += self._walk(symbols, stop)
-        return not want_all
 
     def generalize(self, example: Monomial, want_all: bool,
                    max_free: int) -> Monomial:

@@ -129,6 +129,31 @@ def test_query_oracle_rejects_a_bound_symbol_outside_the_alphabet(
             assert sul.query_count == 5
 
 
+@pytest.mark.parametrize("semantics", [ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL])
+@pytest.mark.parametrize("model", ["alks_without", "alks_with", "coffee"])
+def test_query_oracle_counts_the_queries_up_to_the_first_deciding_one(
+        model, semantics):
+    # on every adapter the oracle runs the covered sequences in expand
+    # order and stops at the first that decides: the count a machine's
+    # sweep must report as its oracle_sequence_queries
+    machine = BUNDLED[model]()
+    want_all = semantics == ORACLE_ALL_SAFE
+    alphabet = machine.inputs
+    for n in range(1, 5):
+        for symbols in itertools.product((*alphabet, None), repeat=n):
+            candidate = Monomial(symbols)
+            verdicts = [machine.is_safe(seq)
+                        for seq in candidate.expand(alphabet)]
+            deciding = [j for j, safe in enumerate(verdicts)
+                        if safe != want_all]
+            expected = (want_all, len(verdicts)) if not deciding else (
+                not want_all, deciding[0] + 1)
+            for sul in (MachineSafetyQuery(machine), _BlackBox(machine)):
+                sul.query_count = 5  # a delta, not a total
+                verdict = query_oracle(sul, candidate, semantics)
+                assert (verdict, sul.query_count - 5) == expected
+
+
 def test_learn_on_all_safe_machine_collapses_to_one_empty_monomial():
     sul = MachineSafetyQuery(BUNDLED["all_safe"]())
     learned, stats = learn_safe_set(

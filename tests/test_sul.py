@@ -14,10 +14,9 @@ from pacreach.sul import (DRAW_BLOCK_WORDS, MachineSafetyQuery, SafetyQuery,
 
 
 class LoopOnly(MachineSafetyQuery):
-    """The machine adapter on the default loops: one run per query, one
-    ``answer_monomial`` call per candidate of an example."""
+    """The machine adapter on the default loop: one ``answer_monomial``
+    call per candidate of an example, one run per query."""
 
-    answer_monomial = SafetyQuery.answer_monomial
     generalize = SafetyQuery.generalize
 
 
@@ -151,13 +150,10 @@ def machines(draw):
 
 
 @st.composite
-def cubes(draw, alphabet):
+def examples(draw, alphabet):
     n = draw(st.integers(1, 7))
-    shape = draw(st.sampled_from(["mixed", "bound", "free"]))
-    if shape == "free":
-        return Monomial((None,) * n)
-    choices = alphabet if shape == "bound" else (*alphabet, None)
-    return Monomial(tuple(draw(st.sampled_from(choices)) for _ in range(n)))
+    return Monomial(tuple(draw(st.lists(st.sampled_from(alphabet),
+                                        min_size=n, max_size=n))))
 
 
 @settings(max_examples=200)
@@ -180,55 +176,12 @@ def test_a_query_steps_the_index_to_the_trace_verdict(data):
 
 @settings(max_examples=400)
 @given(data=st.data())
-def test_machine_answer_matches_the_expansion_loop(data):
-    machine = data.draw(machines())
-    cube = data.draw(cubes(machine.inputs))
-    want_all = data.draw(st.booleans())
-    fast, loop = MachineSafetyQuery(machine), LoopOnly(machine)
-    fast.query_count = loop.query_count = 5  # a delta, not a total
-    verdict = fast.answer_monomial(cube, want_all)
-    assert verdict == loop.answer_monomial(cube, want_all)
-    assert fast.query_count == loop.query_count
-
-
-@settings(max_examples=200)
-@given(data=st.data())
-def test_one_machine_adapter_answers_a_run_of_cubes_like_the_loop(data):
-    # one adapter answers every cube with both verdicts wanted, so later
-    # cubes are answered from predecessor images that earlier ones cached
-    machine = data.draw(machines())
-    fast = MachineSafetyQuery(machine)
-    asked = data.draw(st.lists(cubes(machine.inputs), min_size=1,
-                               max_size=20))
-    for cube in asked:
-        # the cube with its free steps bound is an example to generalize
-        example = Monomial(tuple(machine.inputs[-1] if sym is None else sym
-                                 for sym in cube.symbols))
-        for want_all in (True, False):
-            loop = LoopOnly(machine)
-            before = fast.query_count
-            verdict = fast.answer_monomial(cube, want_all)
-            assert verdict == loop.answer_monomial(cube, want_all)
-            assert fast.query_count - before == loop.query_count
-            before, loop.query_count = fast.query_count, 0
-            general = fast.generalize(example, want_all, example.horizon)
-            assert general == loop.generalize(example, want_all,
-                                              example.horizon)
-            assert fast.query_count - before == loop.query_count
-    images = (len(machine.inputs) + 1) * 2 ** len(machine.states)
-    assert len(fast._image) <= images
-    assert len(fast._forward) <= images
-
-
-@settings(max_examples=400)
-@given(data=st.data())
 def test_machine_generalize_matches_the_loop(data):
     # every candidate of the example, swept at once, against one
     # answer_monomial call per candidate
     machine = data.draw(machines())
-    n = data.draw(st.integers(1, 7))
-    example = Monomial(tuple(data.draw(st.lists(
-        st.sampled_from(machine.inputs), min_size=n, max_size=n))))
+    example = data.draw(examples(machine.inputs))
+    n = example.horizon
     for want_all in (True, False):
         for max_free in (0, 1, n):
             fast, loop = MachineSafetyQuery(machine), LoopOnly(machine)
@@ -239,6 +192,20 @@ def test_machine_generalize_matches_the_loop(data):
             assert general.symbols.count(None) <= max_free
             assert all(sym in (None, bound) for sym, bound
                        in zip(general.symbols, example.symbols))
+    # one adapter sweeps a run of examples, so later ones are answered
+    # from steps that earlier ones memoised; both memos stay bounded
+    fast = MachineSafetyQuery(machine)
+    for example in data.draw(st.lists(examples(machine.inputs),
+                                      min_size=1, max_size=20)):
+        for want_all in (True, False):
+            loop, before = LoopOnly(machine), fast.query_count
+            general = fast.generalize(example, want_all, example.horizon)
+            assert general == loop.generalize(example, want_all,
+                                              example.horizon)
+            assert fast.query_count - before == loop.query_count
+    images = (len(machine.inputs) + 1) * 2 ** len(machine.states)
+    assert len(fast._image) <= images
+    assert len(fast._forward) <= images
 
 
 @pytest.mark.parametrize("adapter", [MachineSafetyQuery, BlackBox])
