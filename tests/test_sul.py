@@ -192,8 +192,15 @@ def test_machine_generalize_matches_the_loop(data):
             assert general.symbols.count(None) <= max_free
             assert all(sym in (None, bound) for sym, bound
                        in zip(general.symbols, example.symbols))
-    # one adapter sweeps a run of examples, so later ones are answered
-    # from steps that earlier ones memoised; both memos stay bounded
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_one_machine_adapter_answers_a_run_of_cubes_like_the_loop(data):
+    # one adapter sweeps a run of examples with both verdicts wanted, so
+    # later ones are answered from steps that earlier ones memoised; both
+    # memos stay bounded
+    machine = data.draw(machines())
     fast = MachineSafetyQuery(machine)
     for example in data.draw(st.lists(examples(machine.inputs),
                                       min_size=1, max_size=20)):
