@@ -175,10 +175,10 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
     (0 without it) and doubles it until the achieved confidence reaches
     the target (at most ``MAX_CONFIDENCE_ROUNDS`` rounds). Every round
     uses budget mode's seeds, so the report equals budget mode's at its
-    ``samples``. A doubling round re-runs only the learner and the
-    bound; the baseline, the census and the confidence are the returned
-    round's own, so over the rounds the chances that some round's claim
-    is wrong add up (union bound).
+    ``samples``. Each round continues one learner run, so sizing spends
+    budget mode's queries at its ``samples``; the baseline, the census
+    and the confidence are the returned round's own, so over the rounds
+    the chances that some round's claim is wrong add up (union bound).
     """
     if isinstance(target, MealyMachine):
         machine: MealyMachine | None = target
@@ -209,12 +209,13 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
         base = required_samples(rate_for_confidence(target_confidence),
                                 d_bound or 0)
         budgets = [base * 2 ** k for k in range(MAX_CONFIDENCE_ROUNDS)]
+    run: dict = {}  # one learner run, which each round continues
     for budget in budgets:
         cfg = LearnerConfig(
             horizon=horizon, sample_budget=budget,
             rng_seed=derive_seed(seed, "learner:main"),
             oracle_semantics=oracle_semantics)
-        learned, stats = learn_safe_set(sul, cfg)
+        learned, stats = learn_safe_set(sul, cfg, run)
         formula = learned.count_formula(len(alphabet))
         exact, used, upper, clipped = _count_exact_or_fallback(
             learned, alphabet, formula, total)

@@ -67,7 +67,8 @@ def required_samples(inverse_error: float, positives: int) -> int:
         raise ValidationError(f"inverse error rate must be finite and "
                               f"exceed 1, got {inverse_error}")
     if positives < 0:
-        raise ValidationError(f"positives must be >= 0, got {positives}")
+        raise ValidationError(f"covered-count bound d_bound (--d-bound) "
+                              f"must be >= 0, got {positives}")
     rate = Fraction(inverse_error)
     log_term = Fraction(math.log(inverse_error))
     return math.ceil(2 * rate * (positives + log_term))
@@ -88,7 +89,8 @@ def solve_confidence(samples: int, positives: int) -> PacBound:
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     if positives < 0:
-        raise ValidationError(f"positives must be >= 0, got {positives}")
+        raise ValidationError(f"covered-count bound d_bound (--d-bound) "
+                              f"must be >= 0, got {positives}")
 
     if positives > _MANTISSA_MAX:
         # The solution is microscopic; ln(rate) is noise next to

@@ -5,7 +5,8 @@ into a fully-bound monomial, and tries to drop one bound position at a
 time, keeping a drop only when the membership oracle confirms the more
 general monomial still covers exclusively safe behaviour. Examples
 already implied by the accumulated set are skipped but still consume
-budget: the sample-size bound counts draws, not distinct ones.
+budget: the sample-size bound counts draws, not distinct ones. A run
+continues to a larger budget by drawing only the examples past its own.
 
 Oracle semantics deserve a word. The default ("all-safe") answers true
 only when EVERY concrete sequence the candidate covers is safe, which
@@ -145,24 +146,35 @@ def query_oracle(sul: SafetyQuery, candidate: Monomial,
     return sul.answer_monomial(candidate, semantics == ORACLE_ALL_SAFE)
 
 
-def learn_safe_set(sul: SafetyQuery,
-                   cfg: LearnerConfig) -> tuple[MonomialSet, LearnerStats]:
+def learn_safe_set(sul: SafetyQuery, cfg: LearnerConfig,
+                   run: dict | None = None
+                   ) -> tuple[MonomialSet, LearnerStats]:
     """Run the full budgeted learning loop.
 
     Returns the learned disjunction of monomials plus the work stats.
     With the default all-safe oracle every sequence the result covers is
     safe; the result never claims safety it has not checked.
+
+    ``run``, a dict that starts empty, is kept across calls with growing
+    budgets: each call grows its draw stream, set and stats by only the
+    examples past the last budget, so it returns what a fresh run at its
+    budget returns (``wall_time`` the total so far); a lower one raises.
     """
-    draws = sul.draws(cfg.horizon, random.Random(cfg.rng_seed))
+    run = {} if run is None else run
+    if not run:
+        run.update(draws=sul.draws(cfg.horizon, random.Random(cfg.rng_seed)),
+                   learned=MonomialSet(cfg.horizon, ()), stats=LearnerStats())
+    draws, learned, stats = run["draws"], run["learned"], run["stats"]
+    if cfg.sample_budget < stats.examples_drawn:
+        raise ValidationError(f"sample budget {cfg.sample_budget} is below "
+                              f"the {stats.examples_drawn} examples drawn")
     items, cap = iter(draws), DEFAULT_SAMPLE_ATTEMPT_CAP
     k, expansion_cap = len(sul.input_alphabet), DEFAULT_ORACLE_EXPANSION_CAP
     max_free = 0  # the most free steps a candidate under the cap can have
     while max_free < cfg.horizon and k ** (max_free + 1) <= expansion_cap:
         max_free += 1
-    learned = MonomialSet(cfg.horizon, ())
-    stats = LearnerStats()
     started = time.perf_counter()
-    for left in range(cfg.sample_budget, 0, -1):
+    for left in range(cfg.sample_budget - stats.examples_drawn, 0, -1):
         # each example left takes a draw, unless the cap ends this one
         draws.will_take = left if left < cap else cap
         before = sul.query_count
@@ -187,5 +199,5 @@ def learn_safe_set(sul: SafetyQuery,
         # a duplicate would have implied the draw, which was skipped above
         learned.add(example)
         log.info("appended %s", example)
-    stats.wall_time = time.perf_counter() - started
+    stats.wall_time += time.perf_counter() - started
     return learned, stats

@@ -129,21 +129,20 @@ def test_doubling_runs_the_baseline_and_census_once(monkeypatch):
 
 
 def test_doubling_target_answers_the_learner_rounds_and_one_baseline():
-    # every round's learner queries, re-run on a fresh target with budget
-    # mode's seed, plus the returned round's Monte Carlo samples
+    # the rounds continue one learner run, so sizing asks the target
+    # exactly what budget mode asks at the returned samples
     target = MachineSafetyQuery(build_alks(False))
     r = analyze(target, horizon=3, target_confidence=0.9, seed=7)
     base = required_samples(1.0 / (1.0 - 0.9), 0)
-    rounds = (r.samples // base).bit_length()
-    assert r.samples == base * 2 ** (rounds - 1) and rounds > 1
-    learner_queries = 0
-    for i in range(rounds):
-        fresh = MachineSafetyQuery(build_alks(False))
-        learn_safe_set(fresh, LearnerConfig(
-            horizon=3, sample_budget=base * 2 ** i,
-            rng_seed=derive_seed(7, "learner:main")))
-        learner_queries += fresh.query_count
-    assert target.query_count == learner_queries + r.samples
+    assert r.samples == base * 2 ** 4
+    budget = MachineSafetyQuery(build_alks(False))
+    analyze(budget, horizon=3, sample_budget=r.samples, seed=7)
+    fresh = MachineSafetyQuery(build_alks(False))
+    learn_safe_set(fresh, LearnerConfig(
+        horizon=3, sample_budget=r.samples,
+        rng_seed=derive_seed(7, "learner:main")))
+    assert target.query_count == budget.query_count == \
+        fresh.query_count + r.samples == 2046
 
 
 def test_a_d_bound_below_the_learned_count_still_reaches_the_target():
@@ -353,9 +352,12 @@ def test_a_sizing_report_over_the_wire_is_budget_mode_at_its_samples():
 
     def run(**mode):
         with RemoteSafetyQuery(cfg) as remote:
-            return analyze(remote, horizon=3, model_name="alks_without",
-                           seed=7, **mode)
-    sizing = run(target_confidence=0.9)
+            report = analyze(remote, horizon=3, model_name="alks_without",
+                             seed=7, **mode)
+            return report, (remote.query_count, remote.requests)
+    sizing, sizing_cost = run(target_confidence=0.9)
     assert sizing.samples == 752
-    assert (reports_to_csv([sizing])
-            == reports_to_csv([run(sample_budget=sizing.samples)]))
+    budget, budget_cost = run(sample_budget=sizing.samples)
+    assert reports_to_csv([sizing]) == reports_to_csv([budget])
+    # query_count and request lines: the handshake, then 1 + 3 per query
+    assert sizing_cost == budget_cost == (2046, 8185)

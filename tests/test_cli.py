@@ -532,6 +532,17 @@ def test_confidence_subcommand(capsys):
     assert "--d-bound" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--model", "alks_without", "-n", "3", "--confidence", "0.9"],
+    ["sample-size", "--confidence", "0.9"], ["confidence", "-L", "5"]],
+    ids=lambda argv: argv[0])
+def test_a_negative_d_bound_is_named_in_the_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--d-bound", "-1")
+    assert (code, out) == (2, "")
+    assert err == ("error: covered-count bound d_bound (--d-bound) "
+                   "must be >= 0, got -1\n")
+
+
 def test_reproduce_table_to_file(tmp_path, capsys):
     out_file = tmp_path / "table.csv"
     code, out, _ = run_cli(capsys, "reproduce-table", "--seed", "7",

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import logging
 import random
@@ -410,3 +411,48 @@ def test_a_capped_search_answers_exactly_the_attempts_it_reports(
         # a fresh stream asks about one draw at a time until told more
         list(itertools.islice(remote.draws(3, random.Random(2)), 3))
         assert remote.requests == 1 + 4 * 25 + 4 * 3
+
+
+@pytest.mark.parametrize("semantics", [ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL])
+@pytest.mark.parametrize("adapter,model,horizon", [
+    ("machine", "alks_without", 3), ("machine", "alks_with", 4),
+    ("machine", "coffee", 5), ("black box", "alks_with", 3),
+    ("black box", "coffee", 4), ("black box", "alks_without", 5),
+    ("remote", "alks_with", 4)])
+def test_a_continued_run_is_a_fresh_run_at_each_budget(
+        adapter, model, horizon, semantics):
+    # each budget's set, stats and queries are a fresh run's; only the
+    # examples past the last budget are drawn, and nothing runs ahead
+    make = {"machine": lambda _stack, m: MachineSafetyQuery(m),
+            "black box": lambda _stack, m: _BlackBox(m),
+            "remote": lambda stack, m: stack.enter_context(
+                RemoteSafetyQuery(BlackBoxConfig(
+                    command=f"{sys.executable} -m pacreach.cli "
+                            f"serve-model --model {model} --stdio",
+                    unsafe_outputs=frozenset({"alarm"}))))}[adapter]
+    machine = BUNDLED[model]()
+
+    def cfg(budget):
+        return LearnerConfig(horizon=horizon, sample_budget=budget,
+                             rng_seed=5, oracle_semantics=semantics)
+    with contextlib.ExitStack() as stack:
+        sul, run, wall_time = make(stack, machine), {}, 0.0
+        for budget in (10, 40, 160, 160):
+            learned, stats = learn_safe_set(sul, cfg(budget), run)
+            fresh = make(stack, machine)
+            want, want_stats = learn_safe_set(fresh, cfg(budget))
+            assert list(learned) == list(want)
+            assert stats.wall_time >= wall_time
+            wall_time = want_stats.wall_time = stats.wall_time
+            assert stats == want_stats
+            assert sul.query_count == fresh.query_count
+            assert getattr(sul, "answers", sul.query_count) == \
+                sul.query_count
+            if adapter == "remote":
+                assert sul.requests == fresh.requests == \
+                    1 + (horizon + 1) * sul.query_count
+        sent = sul.query_count, getattr(sul, "requests", None)
+        with pytest.raises(ValidationError, match="below"):
+            learn_safe_set(sul, cfg(159), run)
+        assert (sul.query_count, getattr(sul, "requests", None)) == sent
+        assert stats == want_stats
