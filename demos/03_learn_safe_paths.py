@@ -27,8 +27,9 @@ def main():
     truth = exact_count_dp(machine, cfg.horizon).safe_paths
     print(f"\ncovered sequences: {covered}")
     print(f"exact safe count:  {truth}")
-    # A machine's oracle queries are counted, not run: one backward pass
-    # over its states answers a whole monomial.
+    # A machine's oracle queries are counted, not run: one sweep per
+    # example, a backward pass and a forward pass over its states,
+    # answers all of that example's candidates.
     print(f"adapter answered {sul.query_count} queries "
           f"({stats.sample_attempts} sampling, run; "
           f"{stats.oracle_sequence_queries} oracle, counted)")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from importlib import resources
 from pathlib import Path
 
 from .errors import ValidationError
@@ -64,7 +63,7 @@ def random_machine(num_states: int, alphabet_size: int,
 
 # -- bundled files -------------------------------------------------------------
 
-_DATA = Path(str(resources.files(__package__).joinpath("data")))
+_DATA = Path(__file__).parent / "data"
 
 # One loader per packaged data/*.machine file, keyed by the file's stem.
 BUNDLED = {path.stem: partial(load_model, path)

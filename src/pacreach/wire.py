@@ -11,10 +11,12 @@ gets as both its stdin and its stdout:
 
 The client pipelines one sequence's requests: it writes the RESET and
 every STEP in one write, then reads the replies, so a server must answer
-requests in order with one line each (the bundled server does). The
-write-ahead is bounded: at most WRITE_AHEAD_BYTES of requests are
-unanswered at any time, and a longer sequence goes out in windows, each
-sent once the previous one is answered. That keeps the client from
+requests in order with one line each (the bundled server does). Each
+reply is read against the request it answers: a query ends where the
+next RESET begins, so one batch may mix run lengths. The write-ahead
+is bounded: at most WRITE_AHEAD_BYTES of requests are unanswered at
+any time, and a longer sequence goes out in windows, each sent once
+the previous one is answered. That keeps the client from
 blocking in a write while the server blocks writing replies nobody
 reads. Oracle runs and random runs (``SafetyQuery.draws``) take one
 path, an exchange: it sends as many whole random runs as fit, of those
@@ -90,9 +92,9 @@ MAX_TIMEOUT = (2 ** 31 - 1) / 1000
 
 
 def parse_host_port(address: str) -> tuple[str, int]:
-    """Split a HOST:PORT address; the port is a decimal number up to 65535."""
+    """Split a HOST:PORT address; the port is ASCII digits, up to 65535."""
     host, _, port = address.rpartition(":")
-    if not host or not port.isdecimal() or int(port) > 65535:
+    if not (host and port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ValidationError(
             f"address must be HOST:PORT (port 0-65535), got {address!r}")
     return host, int(port)
@@ -288,52 +290,51 @@ class RemoteSafetyQuery(SafetyQuery):
 
     # -- plumbing ------------------------------------------------------------
 
-    def _exchange(self, requests: list[bytes], n: int) -> list[bool]:
-        """Send ``requests``, one or more queries of a RESET and n STEPs
-        each, and return each query's verdict, in order.
+    def _exchange(self, requests: list[bytes]) -> list[bool]:
+        """Send ``requests``, one or more queries of a RESET and at least
+        one STEP each, and return each query's verdict, in order.
 
-        Requests go out in windows of at most WRITE_AHEAD_BYTES (and at
-        least one request), one write each, across query boundaries; a
-        window is sent once every reply to the one before has been
-        read. The replies each read brings are checked as soon as it
-        arrives, so a bad reply fails without waiting for the rest of
-        the window. After each window, the peer must have sent nothing
-        beyond its last reply.
+        Each reply is read against the request it answers: a RESET reply
+        must be OK and opens a query, whose STEP replies set its verdict.
+        So a query ends where the next RESET begins, and one batch may
+        mix run lengths. Requests go out in windows of at most
+        WRITE_AHEAD_BYTES (and at least one request), one write each,
+        across query boundaries; a window is sent once every reply to
+        the one before has been read. The replies each read brings are
+        checked as soon as it arrives, so a bad reply fails without
+        waiting for the rest of the window. After each window, the peer
+        must have sent nothing beyond its last reply.
         """
         channel = self._channel
         assert channel is not None
         timeout = self.config.timeout
         safe_replies = self._safe_replies
-        verdicts: list[bool] = []
+        verdicts: list = []
         ends = list(accumulate(map(len, requests)))
-        start, sent, pos = 0, 0, 0  # pos: replies read of this query
+        answered = iter(requests)  # the request each next reply answers
+        start, sent = 0, 0
         while start < len(requests):
             stop = max(bisect_right(ends, sent + WRITE_AHEAD_BYTES, start),
                        start + 1)
             channel.send(b"".join(requests[start:stop]))
             self.requests += stop - start
             sent = ends[stop - 1]
-            unanswered = stop - start
-            while unanswered:
-                replies = channel.recv_lines(unanswered, timeout)
-                unanswered -= len(replies)
-                for reply in replies:
-                    if not pos:
-                        if reply != b"OK":
-                            _check_reset(reply)
-                        pos = 1
-                        continue
-                    safe = safe_replies.get(reply)
-                    if safe is None:
-                        safe = self._check_step(reply)
-                    if pos == n:
-                        verdicts.append(safe)
-                        pos = 0
+            while start < stop:
+                replies = channel.recv_lines(stop - start, timeout)
+                start += len(replies)
+                # zip stops at the last reply, taking no request beyond it
+                for reply, request in zip(replies, answered):
+                    if request != _RESET:
+                        safe = safe_replies.get(reply)
+                        verdicts[-1] = (self._check_step(reply) if safe is None
+                                        else safe)
+                    elif reply == b"OK" or _reply_tokens(reply) == ["OK"]:
+                        verdicts.append(None)  # its STEP replies set it
                     else:
-                        pos += 1
+                        raise TransportError("bad RESET reply: "
+                                             + " ".join(_reply_tokens(reply)))
             if channel.has_unread():
                 raise TransportError("unrequested bytes after the last reply")
-            start = stop
         return verdicts
 
     def _check_step(self, reply: bytes) -> bool:
@@ -346,13 +347,6 @@ class RemoteSafetyQuery(SafetyQuery):
         if len(self._safe_replies) < REPLY_MEMO_ENTRIES:
             self._safe_replies[reply] = safe
         return safe
-
-    def _open(self):
-        if self._channel is None:
-            self._channel = _connect(self.config, self)
-            if self._connected_before:
-                self.reconnects += 1
-            self._connected_before = True
 
     def close(self):
         """Drop the connection; the next query opens a fresh one."""
@@ -381,7 +375,11 @@ class RemoteSafetyQuery(SafetyQuery):
             if tries:
                 self.retries += 1
             try:
-                self._open()
+                if self._channel is None:
+                    self._channel = _connect(self.config, self)
+                    if self._connected_before:
+                        self.reconnects += 1
+                    self._connected_before = True
                 return attempt()
             except TransportError as exc:
                 self.close()
@@ -409,20 +407,19 @@ class RemoteSafetyQuery(SafetyQuery):
         return tuple(symbols)
 
     def _verdicts(self, seqs: list[tuple[str, ...]]) -> list[bool]:
-        """One exchange's verdicts for ``seqs``, runs of one length n > 0."""
+        """One exchange's verdicts for ``seqs``, runs of any lengths >= 1;
+        an empty run is refused before anything is sent."""
         requests: list[bytes] = []
         for seq in seqs:
+            if not seq:
+                raise ValidationError(
+                    "the wire protocol has no verdict for an empty run")
             requests.append(_RESET)
             requests += map(self._steps.__getitem__, seq)
-        n = len(seqs[0])
-        return self._with_retries(lambda: self._exchange(requests, n))
+        return self._with_retries(lambda: self._exchange(requests))
 
     def _answer(self, seq: tuple[str, ...]) -> bool:
-        if not seq:
-            raise ValidationError(
-                "the wire protocol has no verdict for an empty run")
-        (verdict,) = self._verdicts([seq])
-        return verdict
+        return self._verdicts([seq])[0]
 
     def _draws(self, n, alphabet, blocks, stream):
         # a window of runs per exchange: as many as the consumer will
@@ -449,12 +446,6 @@ def _reply_tokens(reply: bytes) -> list[str]:
     if not tokens:
         raise TransportError("empty reply")
     return tokens
-
-
-def _check_reset(reply: bytes):
-    tokens = _reply_tokens(reply)
-    if tokens != ["OK"]:
-        raise TransportError(f"bad RESET reply: {' '.join(tokens)}")
 
 
 # -- server ------------------------------------------------------------------

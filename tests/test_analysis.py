@@ -9,7 +9,8 @@ import pytest
 
 from pacreach import analysis
 from pacreach.analysis import (CSV_COLUMNS, REFERENCE_RESULTS, AnalysisReport,
-                               TableReproduction, _count_exact_or_fallback,
+                               CellCheck, TableReproduction,
+                               _count_exact_or_fallback, _diff_text,
                                analyze, reports_to_csv, reports_to_json_lines,
                                reproduce_table)
 from pacreach.bounds import required_samples, safety_probability, \
@@ -285,6 +286,17 @@ def test_table_reproduction_marks_degraded_cells_informational(table):
         ("alks_with", 10, "covered"),
         ("alks_with", 10, "learned_probability"),
     ]
+
+
+def test_the_diff_marks_a_cell_out_of_tolerance_off():
+    checks = [
+        CellCheck("alks_without", 3, "covered", 9.0, 9.0, 0.0, True),
+        CellCheck("alks_without", 3, "confidence", 0.5, 0.9, 0.01, False),
+        CellCheck("alks_without", 10, "covered", 1.0, 2.0, None, False),
+    ]
+    rows = _diff_text(checks, ["coffee line"]).splitlines()
+    assert [row.split()[-1] for row in rows[4:7]] == ["ok", "OFF", "info"]
+    assert rows[-1] == "1 of 2 checked cells out of tolerance"
 
 
 def test_table_reproduction_recovers_the_reference_counts(table):

@@ -88,6 +88,11 @@ def test_dp_validation():
         exact_count_dp(build_alks(False), 3, semantics="sometimes")
 
 
+def test_enumeration_refuses_horizon_zero():
+    with pytest.raises(ValidationError, match="horizon must be >= 1, got 0"):
+        exact_count_enumerate(build_alks(False), 0)
+
+
 def test_enumeration_cap():
     with pytest.raises(ResourceCapError):
         exact_count_enumerate(build_alks(False), 20)

@@ -71,6 +71,17 @@ def test_solve_confidence_clamps_at_rate_one():
     assert b.confidence == 0.0
 
 
+def test_solve_confidence_halves_the_lower_bracket_for_a_large_count():
+    # 2 * 1e-12 * (1e12 + ln 1e-12) > 1 sample: the solution lies below
+    # the first lower bracket
+    d = 10**12
+    b = solve_confidence(1, d)
+    assert b.inverse_error < 1e-12
+    value = 2 * b.inverse_error * (d + math.log(b.inverse_error))
+    assert value == pytest.approx(1, rel=1e-8)
+    assert b.confidence == 0.0
+
+
 def test_solve_confidence_monotonicity():
     fixed_budget = [solve_confidence(1000, d).confidence
                     for d in (1, 5, 17, 50, 99, 200)]
@@ -126,6 +137,11 @@ def test_safety_probability_range_errors():
         safety_probability(-1, 3, 3)
     with pytest.raises(ValidationError):
         safety_probability(1, 0, 3)
+
+
+def test_safety_probability_refuses_horizon_zero():
+    with pytest.raises(ValidationError, match="horizon must be >= 1, got 0"):
+        safety_probability(1, 2, 0)
 
 
 def test_safety_probability_big_integers():

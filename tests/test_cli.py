@@ -150,6 +150,17 @@ def test_an_out_file_that_cannot_be_written_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_an_out_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    # the directory exists, so the check before the run passes and the
+    # write after it fails
+    code, out, err = run_cli(capsys, "analyze", "--model", "alks_without",
+                             "-n", "3", "-L", "10", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, stage", [
     (["analyze", "--model", "alks_without", "-n", "3", "-L", "10"],
      "analyze"),

@@ -64,6 +64,19 @@ def test_missing_transition_rejected():
         MealyMachine(**_alks_fields(transitions=t))
 
 
+def test_a_transition_for_an_unknown_pair_is_rejected():
+    t = dict(WTO.transitions)
+    t[("Z", "l")] = ("C", "ok")
+    with pytest.raises(ValidationError,
+                       match=r"unknown pairs: \[\('Z', 'l'\)\]"):
+        MealyMachine(**_alks_fields(transitions=t))
+
+
+def test_a_step_from_an_unknown_state_is_rejected():
+    with pytest.raises(ValidationError, match="unknown state 'Z'"):
+        WTO.step("Z", "l")
+
+
 def test_unknown_initial_rejected():
     with pytest.raises(ValidationError, match="initial state"):
         MealyMachine(**_alks_fields(initial="Z"))
@@ -183,6 +196,11 @@ def test_parse_rejects_duplicate_header(header):
 def test_parse_requires_headers():
     with pytest.raises(ParseError, match="missing 'initial:'"):
         parse_model("inputs: a\noutputs: o\nq a -> q / o\n")
+
+
+def test_parse_requires_a_transition_line():
+    with pytest.raises(ParseError, match="no transition lines"):
+        parse_model("inputs: a\noutputs: o\ninitial: q\nsafe: q\n")
 
 
 def test_unicode_symbols_survive():

@@ -165,6 +165,14 @@ def test_count_exact_at_the_ends_of_the_horizon(members, expected):
     assert g.count_exact(alphabet) == covered == expected
 
 
+def test_counting_refuses_a_foreign_symbol_and_an_empty_alphabet():
+    g = MonomialSet(2, (mono(2, {1: "z"}),))
+    with pytest.raises(ValidationError, match=r"not in alphabet: \['z'\]"):
+        g.count_exact(("a", "b"))
+    with pytest.raises(ValidationError, match="alphabet size must be >= 1"):
+        g.count_formula(0)
+
+
 def test_a_member_with_no_bound_step_is_counted_without_a_walk(monkeypatch):
     # such a member is done at step 1, so no (position, live set) state
     # is visited and even a cap of 0 is not exceeded
@@ -311,3 +319,10 @@ def test_text_parse_errors():
         MonomialSet.from_text("n=0\n")  # empty horizon
     with pytest.raises(ParseError, match="line 3"):
         MonomialSet.from_text("n=2\n{1=a}\n{1=a}\n")  # duplicate member
+
+
+def test_text_parse_skips_comment_lines_and_needs_a_header():
+    with pytest.raises(ParseError, match="missing 'n=<horizon>' header"):
+        MonomialSet.from_text("")
+    g = MonomialSet.from_text("# learned set\nn=2\n  # none yet\n{1=a}\n")
+    assert g == MonomialSet(2, (mono(2, {1: "a"}),))

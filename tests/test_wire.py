@@ -165,7 +165,8 @@ def test_config_validation():
                            max_retries=retries)
     config = BlackBoxConfig(command="x", unsafe_outputs=["b", "c"])
     assert config.unsafe_outputs == frozenset({"b", "c"})
-    for address in ("noport", ":80", "h:-1", "h:65536", "h:²"):
+    for address in ("noport", ":80", "h:-1", "h:65536", "h:²", "h:٨٠",
+                    "localhost:１２３"):
         with pytest.raises(ValidationError, match="HOST:PORT"):
             parse_host_port(address)
     assert parse_host_port("::1:0") == ("::1", 0)
@@ -278,6 +279,32 @@ def test_tcp_black_box_agrees_with_in_process():
     assert not server.is_alive()
 
 
+@pytest.mark.parametrize("transport", ["stdio", "tcp"])
+def test_one_batch_may_mix_run_lengths(transport):
+    # a query ends where the next RESET begins, not after a run length
+    # that the whole batch shares
+    machine = build_alks(False)
+    seqs = [("l",), ("l", "l"), ("r", "s", "r"), ("l", "l", "l", "l")]
+    local = MachineSafetyQuery(machine)
+    want = [local.is_safe(seq) for seq in seqs]
+    assert want == [True, False, False, False]
+    server = None
+    if transport == "stdio":
+        cfg = BlackBoxConfig(command=SERVE_WTO,
+                             unsafe_outputs=frozenset({"alarm"}))
+    else:
+        server, (host, port) = _serve_in_thread(machine, max_sessions=1)
+        cfg = BlackBoxConfig(address=f"{host}:{port}",
+                             unsafe_outputs=frozenset({"alarm"}))
+    with RemoteSafetyQuery(cfg) as remote:
+        before = remote.requests
+        assert remote._verdicts(seqs) == want
+        assert remote.requests - before == sum(len(s) + 1 for s in seqs) == 14
+    if server is not None:
+        server.join(5)
+        assert not server.is_alive()
+
+
 def test_classification_is_by_final_output_only():
     # coffee emits "coffee" only on the dispensing step; a later ok step
     # must flip the verdict back to safe
@@ -338,6 +365,21 @@ def test_an_alphabet_reply_that_repeats_a_symbol_is_a_transport_error():
                          unsafe_outputs=frozenset({"bad"}),
                          timeout=2.0, max_retries=0)
     with pytest.raises(TransportError, match="bad ALPHABET reply: OK a a"):
+        RemoteSafetyQuery(cfg)
+
+
+def test_unrequested_bytes_after_the_alphabet_reply_are_a_transport_error():
+    # the peer's one write holds the ALPHABET reply and a line more
+    script = ("import sys\n"
+              "sys.stdin.buffer.readline()\n"
+              "sys.stdout.buffer.write(b'OK l r s\\nOK\\n')\n"
+              "sys.stdout.flush()\n"
+              "sys.stdin.buffer.read()\n")
+    cfg = BlackBoxConfig(
+        command=f"{shlex.quote(sys.executable)} -c {shlex.quote(script)}",
+        unsafe_outputs=frozenset({"alarm"}))
+    with pytest.raises(TransportError,
+                       match="unrequested bytes after the last reply"):
         RemoteSafetyQuery(cfg)
 
 
