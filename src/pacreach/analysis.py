@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 from .baselines import exact_count_dp, monte_carlo
@@ -175,7 +175,9 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
     (0 without it) and doubles it until the achieved confidence reaches
     the target (at most ``MAX_CONFIDENCE_ROUNDS`` rounds). Every round
     uses budget mode's seeds, so the report equals budget mode's at its
-    ``samples``. Each round continues one learner run, so sizing spends
+    ``samples``. The learner's config is built once; each round continues
+    one learner run on the same adapter with only its budget replaced
+    (``learn_safe_set`` refuses any other change), so sizing spends
     budget mode's queries at its ``samples``; the baseline, the census
     and the confidence are the returned round's own, so over the rounds
     the chances that some round's claim is wrong add up (union bound).
@@ -210,12 +212,12 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
                                 d_bound or 0)
         budgets = [base * 2 ** k for k in range(MAX_CONFIDENCE_ROUNDS)]
     run: dict = {}  # one learner run, which each round continues
+    cfg = LearnerConfig(horizon=horizon, sample_budget=budgets[0],
+                        rng_seed=derive_seed(seed, "learner:main"),
+                        oracle_semantics=oracle_semantics)
     for budget in budgets:
-        cfg = LearnerConfig(
-            horizon=horizon, sample_budget=budget,
-            rng_seed=derive_seed(seed, "learner:main"),
-            oracle_semantics=oracle_semantics)
-        learned, stats = learn_safe_set(sul, cfg, run)
+        learned, stats = learn_safe_set(
+            sul, replace(cfg, sample_budget=budget), run)
         formula = learned.count_formula(len(alphabet))
         exact, used, upper, clipped = _count_exact_or_fallback(
             learned, alphabet, formula, total)

@@ -115,6 +115,8 @@ def monte_carlo(sul: SafetyQuery, n: int, samples: int,
     probabilities in a report are comparable. Exactly ``samples``
     queries are answered; told so, a black box answers them in windows.
     """
+    if isinstance(samples, bool) or not isinstance(samples, int):
+        raise ValidationError(f"samples must be an int, got {samples!r}")
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
     draws = sul.draws(n, random.Random(seed))

@@ -6,7 +6,8 @@ time, keeping a drop only when the membership oracle confirms the more
 general monomial still covers exclusively safe behaviour. Examples
 already implied by the accumulated set are skipped but still consume
 budget: the sample-size bound counts draws, not distinct ones. A run
-continues to a larger budget by drawing only the examples past its own.
+continues to a larger budget by drawing only the examples past its own,
+on the adapter and with the configuration it started with.
 
 Oracle semantics deserve a word. The default ("all-safe") answers true
 only when EVERY concrete sequence the candidate covers is safe, which
@@ -35,7 +36,7 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterator
 
@@ -64,6 +65,10 @@ class LearnerConfig:
     oracle_semantics: str = ORACLE_ALL_SAFE
 
     def __post_init__(self):
+        for name in ("horizon", "sample_budget"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an int, got {value!r}")
         if self.horizon < 1:
             raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
         if self.sample_budget < 1:
@@ -158,16 +163,24 @@ def learn_safe_set(sul: SafetyQuery, cfg: LearnerConfig,
     ``run``, a dict that starts empty, is kept across calls with growing
     budgets: each call grows its draw stream, set and stats by only the
     examples past the last budget, so it returns what a fresh run at its
-    budget returns (``wall_time`` the total so far); a lower one raises.
+    budget returns (``wall_time`` the total so far). The first call
+    records its adapter and ``cfg`` in ``run``. A later call must pass
+    that same adapter object and a config that differs from the recorded
+    one at most in ``sample_budget``, which may not be below the examples
+    drawn; anything else raises ValidationError before any query.
     """
     run = {} if run is None else run
     if not run:
-        run.update(draws=sul.draws(cfg.horizon, random.Random(cfg.rng_seed)),
+        run.update(sul=sul, cfg=cfg,
+                   draws=sul.draws(cfg.horizon, random.Random(cfg.rng_seed)),
                    learned=MonomialSet(cfg.horizon, ()), stats=LearnerStats())
     draws, learned, stats = run["draws"], run["learned"], run["stats"]
-    if cfg.sample_budget < stats.examples_drawn:
-        raise ValidationError(f"sample budget {cfg.sample_budget} is below "
-                              f"the {stats.examples_drawn} examples drawn")
+    if (sul is not run["sul"] or cfg.sample_budget < stats.examples_drawn
+            or cfg != replace(run["cfg"], sample_budget=cfg.sample_budget)):
+        raise ValidationError(
+            f"a run continues only on its own adapter and config, with a "
+            f"sample budget not below the {stats.examples_drawn} examples "
+            f"drawn: it started as {run['cfg']}, got {cfg}")
     items, cap = iter(draws), DEFAULT_SAMPLE_ATTEMPT_CAP
     k, expansion_cap = len(sul.input_alphabet), DEFAULT_ORACLE_EXPANSION_CAP
     max_free = 0  # the most free steps a candidate under the cap can have

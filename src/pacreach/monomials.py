@@ -196,12 +196,15 @@ class MonomialSet:
 
         Raises ResourceCapError once more than ``DEFAULT_COUNT_CAP``
         (position, live set) pairs have been visited; adversarial sets
-        can need exponentially many.
+        can need exponentially many. An alphabet that lacks a bound
+        symbol, or repeats a symbol, raises ValidationError.
         """
         unknown = sorted({sym for bound in self._bound for sym in bound}
                          - set(alphabet))
         if unknown:
             raise ValidationError(f"bound symbols not in alphabet: {unknown}")
+        if len(set(alphabet)) < len(alphabet):
+            raise ValidationError("alphabet repeats a symbol")
         k, n = len(alphabet), self.horizon
         every = (1 << len(self.monomials)) - 1
         # done[pos]: the members with no bound step at or after pos

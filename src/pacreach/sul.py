@@ -142,6 +142,8 @@ class SafetyQuery(ABC):
         nothing else reads. A bad horizon raises ValidationError here,
         before ``rng`` is read.
         """
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValidationError(f"horizon must be an int, got {n!r}")
         if n < 1:
             raise ValidationError(f"horizon must be >= 1, got {n}")
         stream = Draws()

@@ -591,10 +591,21 @@ def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
     connections are served before returning (None = serve forever).
     The replies to all the complete requests one read brings go out in
     one write. A connection error ends only the session it happens in.
-    A socket that cannot bind or listen raises TransportError.
+    ``host`` is a name or an IPv4 or IPv6 literal, and its first
+    address sets the socket's family; "" means every address of the
+    resolver's first family, IPv4 with glibc. A host that does not
+    resolve, or a socket that cannot bind or listen, raises
+    TransportError.
     """
     table = _answer_table(machine)
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
+    try:
+        family = socket.getaddrinfo(host or None, port,
+                                    type=socket.SOCK_STREAM,
+                                    flags=socket.AI_PASSIVE)[0][0]
+    except OSError as exc:
+        raise TransportError(
+            f"cannot listen on {host}:{port}: {exc}") from exc
+    with socket.socket(family, socket.SOCK_STREAM) as server:
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
             server.bind((host, port))

@@ -156,6 +156,21 @@ def test_a_d_bound_below_the_learned_count_still_reaches_the_target():
     assert r.samples in {base * 2 ** k for k in range(1, 8)}
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"horizon": True, "sample_budget": 10}, "horizon must be an int"),
+    ({"horizon": 3.0, "sample_budget": 10}, "horizon must be an int"),
+    ({"horizon": 3, "sample_budget": True}, "sample_budget must be an int"),
+    ({"horizon": 3, "sample_budget": 10.5}, "sample_budget must be an int"),
+    ({"horizon": True, "target_confidence": 0.9}, "horizon must be an int"),
+])
+def test_a_count_that_is_not_an_int_never_reaches_the_report(counts,
+                                                             message):
+    target = MachineSafetyQuery(build_alks(False))
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        analyze(target, seed=7, **counts)
+    assert target.query_count == 0
+
+
 def test_target_confidence_doubling_eventually_gives_up(monkeypatch):
     monkeypatch.setattr("pacreach.analysis.MAX_CONFIDENCE_ROUNDS", 1)
     with pytest.raises(ResourceCapError, match="doubling rounds"):

@@ -136,3 +136,14 @@ def test_monte_carlo_rejects_a_horizon_below_one():
                            match=f"^horizon must be >= 1, got {n}$"):
             monte_carlo(sul, n, 100, seed=1)
     assert sul.query_count == 0
+
+
+@pytest.mark.parametrize("samples", [True, 10.5])
+def test_monte_carlo_rejects_a_sample_count_that_is_not_an_int(samples):
+    sul = MachineSafetyQuery(build_alks(False))
+    with pytest.raises(ValidationError,
+                       match=f"^samples must be an int, got {samples!r}$"):
+        monte_carlo(sul, 3, samples, seed=1)
+    with pytest.raises(ValidationError, match="^horizon must be an int"):
+        monte_carlo(sul, 3.0, 10, seed=1)
+    assert sul.query_count == 0

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import os
 import shlex
@@ -15,9 +16,10 @@ from pacreach import analysis, learner
 from pacreach.baselines import monte_carlo
 from pacreach.bounds import required_samples
 from pacreach.cli import main
-from pacreach.models import build_alks
+from pacreach.models import build_alks, load_model
 from pacreach.seeding import derive_seed
 from pacreach.sul import MachineSafetyQuery
+from pacreach.wire import BlackBoxConfig, RemoteSafetyQuery
 
 SERVE_WTO = (f"{sys.executable} -m pacreach.cli serve-model "
              f"--model alks_without --stdio")
@@ -600,6 +602,43 @@ def test_serve_model_over_tcp_end_to_end():
             assert ask("STEP l") == "OUT ok"
             assert ask("STEP l") == "OUT alarm"
             assert ask("STEP nonsense").startswith("ERR")
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.stdout.close()
+
+
+def _can_bind_ipv6_loopback():
+    try:
+        with socket.socket(socket.AF_INET6) as sock:
+            sock.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _can_bind_ipv6_loopback(),
+                    reason="::1 cannot be bound here")
+def test_serve_model_listens_on_an_ipv6_literal():
+    # the server takes the family of its host, so the client, which
+    # connects to "::1:PORT", gets the model file's verdicts
+    path = Path(analysis.__file__).parent / "data" / "alks_with.machine"
+    local = MachineSafetyQuery(load_model(path))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pacreach.cli", "serve-model",
+         "--model", str(path), "--listen", "::1:0", "--max-sessions", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    try:
+        banner, host, port = proc.stdout.readline().split()
+        assert (banner, host) == ("LISTENING", "::1")
+        seqs = [seq for n in range(1, 5)
+                for seq in itertools.product(local.input_alphabet, repeat=n)]
+        with RemoteSafetyQuery(BlackBoxConfig(
+                address=f"::1:{port}",
+                unsafe_outputs=frozenset({"alarm"}))) as remote:
+            assert [remote.is_safe(seq) for seq in seqs] == \
+                [local.is_safe(seq) for seq in seqs]
         assert proc.wait(timeout=10) == 0
     finally:
         if proc.poll() is None:

@@ -456,3 +456,58 @@ def test_a_continued_run_is_a_fresh_run_at_each_budget(
             learn_safe_set(sul, cfg(159), run)
         assert (sul.query_count, getattr(sul, "requests", None)) == sent
         assert stats == want_stats
+
+
+@pytest.mark.parametrize("adapter", ["machine", "black box", "remote"])
+def test_a_run_continues_only_on_its_adapter_and_config(adapter):
+    # only the budget may change: an all-safe run continued under the
+    # paper-literal oracle would cover unsafe sequences, one continued
+    # on a second adapter would draw from the first, and one continued
+    # at another horizon or seed would report a mix of two runs
+    make = {"machine": lambda _stack, m: MachineSafetyQuery(m),
+            "black box": lambda _stack, m: _BlackBox(m),
+            "remote": lambda stack, m: stack.enter_context(
+                RemoteSafetyQuery(BlackBoxConfig(
+                    command=f"{sys.executable} -m pacreach.cli "
+                            f"serve-model --model alks_without --stdio",
+                    unsafe_outputs=frozenset({"alarm"}))))}[adapter]
+    machine = BUNDLED["alks_without"]()
+    cfg = LearnerConfig(horizon=3, sample_budget=10, rng_seed=1)
+    twenty = LearnerConfig(horizon=3, sample_budget=20, rng_seed=1)
+    with contextlib.ExitStack() as stack:
+        sul, other, run = make(stack, machine), make(stack, machine), {}
+        learn_safe_set(sul, cfg, run)
+        misuses = [
+            (other, twenty),
+            (sul, LearnerConfig(horizon=5, sample_budget=20, rng_seed=1)),
+            (sul, LearnerConfig(horizon=3, sample_budget=20, rng_seed=2)),
+            (sul, LearnerConfig(horizon=3, sample_budget=20, rng_seed=1,
+                                oracle_semantics=ORACLE_PAPER_LITERAL))]
+
+        def spent():
+            return [(s.query_count, getattr(s, "requests", None))
+                    for s in (sul, other)]
+        before = spent()
+        for target, changed in misuses:
+            with pytest.raises(ValidationError,
+                               match="only on its own adapter and config"):
+                learn_safe_set(target, changed, run)
+            assert spent() == before
+        learned, stats = learn_safe_set(sul, twenty, run)
+        fresh = make(stack, machine)
+        want, want_stats = learn_safe_set(fresh, twenty)
+        assert list(learned) == list(want)
+        want_stats.wall_time = stats.wall_time
+        assert stats == want_stats
+        assert sul.query_count == fresh.query_count
+        assert learned.count_exact(machine.inputs) == 17  # sound, all found
+
+
+@pytest.mark.parametrize("field, value", [
+    ("horizon", True), ("horizon", 3.0), ("sample_budget", True),
+    ("sample_budget", 10.5)])
+def test_a_config_count_must_be_an_int(field, value):
+    counts = {"horizon": 3, "sample_budget": 10, field: value}
+    with pytest.raises(ValidationError,
+                       match=f"^{field} must be an int, got {value!r}$"):
+        LearnerConfig(**counts)

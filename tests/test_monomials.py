@@ -171,6 +171,9 @@ def test_counting_refuses_a_foreign_symbol_and_an_empty_alphabet():
         g.count_exact(("a", "b"))
     with pytest.raises(ValidationError, match="alphabet size must be >= 1"):
         g.count_formula(0)
+    # a repeated symbol would count each sequence through it twice
+    with pytest.raises(ValidationError, match="repeats a symbol"):
+        MonomialSet(2, (mono(2, {}),)).count_exact(("l", "l", "r"))
 
 
 def test_a_member_with_no_bound_step_is_counted_without_a_walk(monkeypatch):

@@ -115,6 +115,18 @@ def test_draws_check_the_horizon_before_reading_the_generator(adapter):
     assert sul.query_count == 0
 
 
+@pytest.mark.parametrize("adapter", [MachineSafetyQuery, BlackBox])
+def test_draws_refuse_a_horizon_that_is_not_an_int(adapter):
+    sul, rng = adapter(build_alks(False)), random.Random(3)
+    state = rng.getstate()
+    for n in (True, 3.0):
+        with pytest.raises(ValidationError,
+                           match=f"^horizon must be an int, got {n!r}$"):
+            sul.draws(n, rng)
+    assert rng.getstate() == state
+    assert sul.query_count == 0
+
+
 def test_an_adapter_is_built_with_a_non_empty_alphabet():
     class NoInputs(SafetyQuery):
         def __init__(self, inputs):
