@@ -181,6 +181,9 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
     budget mode's queries at its ``samples``; the baseline, the census
     and the confidence are the returned round's own, so over the rounds
     the chances that some round's claim is wrong add up (union bound).
+    ``horizon`` and ``sample_budget`` are ints >= 1, ``d_bound`` an int
+    >= 0 and ``seed`` any int; any other value raises ValidationError
+    before the first query.
     """
     if isinstance(target, MealyMachine):
         machine: MealyMachine | None = target
@@ -200,7 +203,6 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
     if d_bound is not None and target_confidence is None:
         raise ValidationError("d_bound is only used with target_confidence")
     alphabet = sul.input_alphabet
-    total = len(alphabet) ** horizon
 
     if sample_budget is not None:
         budgets = [sample_budget]
@@ -209,12 +211,13 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
         # paths (0 without it) and double. Every round uses budget
         # mode's seeds, so the report is budget mode's at its samples.
         base = required_samples(rate_for_confidence(target_confidence),
-                                d_bound or 0)
+                                0 if d_bound is None else d_bound)
         budgets = [base * 2 ** k for k in range(MAX_CONFIDENCE_ROUNDS)]
     run: dict = {}  # one learner run, which each round continues
     cfg = LearnerConfig(horizon=horizon, sample_budget=budgets[0],
                         rng_seed=derive_seed(seed, "learner:main"),
                         oracle_semantics=oracle_semantics)
+    total = len(alphabet) ** horizon
     for budget in budgets:
         learned, stats = learn_safe_set(
             sul, replace(cfg, sample_budget=budget), run)

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError, check_int
 from .mealy import MealyMachine
 from .sul import SafetyQuery
 
@@ -63,10 +63,9 @@ def exact_count_dp(machine: MealyMachine, n: int,
     O(n * |S| * |I|) big-integer additions. Safe means the final state
     lies in the safe set. The "always" variant additionally drops any
     path the moment it touches an unsafe state; the two coincide when
-    unsafe states are absorbing.
+    unsafe states are absorbing. The horizon ``n`` is an int >= 1.
     """
-    if n < 1:
-        raise ValidationError(f"horizon must be >= 1, got {n}")
+    check_int("horizon", n, 1)
     if semantics not in ("final", "always"):
         raise ValidationError(f"unknown semantics {semantics!r}")
     counts = dict.fromkeys(machine.states, 0)
@@ -91,10 +90,10 @@ def exact_count_enumerate(machine: MealyMachine, n: int) -> ExactCount:
     """Trace every length-n sequence and count the safe ones.
 
     Exponential; exists to cross-check the dynamic program on small
-    instances, so it refuses budgets above ``ENUMERATION_CAP``.
+    instances, so it refuses budgets above ``ENUMERATION_CAP``. The
+    horizon ``n`` is an int >= 1.
     """
-    if n < 1:
-        raise ValidationError(f"horizon must be >= 1, got {n}")
+    check_int("horizon", n, 1)
     total = len(machine.inputs) ** n
     if total > ENUMERATION_CAP:
         raise ResourceCapError(
@@ -114,11 +113,11 @@ def monte_carlo(sul: SafetyQuery, n: int, samples: int,
     ``sul.draws``, the stream the learner draws from too, so the two
     probabilities in a report are comparable. Exactly ``samples``
     queries are answered; told so, a black box answers them in windows.
+    ``samples`` is an int >= 1, ``seed`` any int, and ``sul.draws``
+    checks the horizon ``n``.
     """
-    if isinstance(samples, bool) or not isinstance(samples, int):
-        raise ValidationError(f"samples must be an int, got {samples!r}")
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
+    check_int("samples", samples, 1)
+    check_int("seed", seed)
     draws = sul.draws(n, random.Random(seed))
     draws.will_take = samples
     hits = sum(safe for safe, _ in itertools.islice(draws, samples))

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_real
 
 __all__ = ["PacBound", "rate_for_confidence", "required_samples",
            "solve_confidence", "safety_probability"]
@@ -50,8 +50,11 @@ def _confidence(inverse_error: float) -> float:
 
 
 def rate_for_confidence(confidence: float) -> float:
-    """The inverse of `_confidence`: the rate 1/(1 - confidence)."""
-    if not 0.0 < confidence < 1.0:
+    """The inverse of `_confidence`: the rate 1/(1 - confidence).
+
+    ``confidence`` is a number in (0, 1).
+    """
+    if not 0.0 < check_real("confidence", confidence) < 1.0:
         raise ValidationError(
             f"confidence must lie in (0, 1), got {confidence}")
     return 1.0 / (1.0 - confidence)
@@ -62,13 +65,13 @@ def required_samples(inverse_error: float, positives: int) -> int:
 
     Exact: the product is formed as a rational number of the float
     inputs, so the ceiling never suffers double rounding.
+    ``inverse_error`` is a finite number above 1, ``positives`` an int
+    >= 0.
     """
-    if not 1.0 < inverse_error < math.inf:
+    if not 1.0 < check_real("inverse error rate", inverse_error) < math.inf:
         raise ValidationError(f"inverse error rate must be finite and "
                               f"exceed 1, got {inverse_error}")
-    if positives < 0:
-        raise ValidationError(f"covered-count bound d_bound (--d-bound) "
-                              f"must be >= 0, got {positives}")
+    check_int("covered-count bound d_bound (--d-bound)", positives, 0)
     rate = Fraction(inverse_error)
     log_term = Fraction(math.log(inverse_error))
     return math.ceil(2 * rate * (positives + log_term))
@@ -84,13 +87,10 @@ def solve_confidence(samples: int, positives: int) -> PacBound:
     2*r*(positives + ln r) is strictly increasing wherever it is
     positive, so for any samples >= 1 there is exactly one solution;
     bisection converges unconditionally. Rates at or below 1 clamp to
-    confidence 0.
+    confidence 0. ``samples`` is an int >= 1, ``positives`` an int >= 0.
     """
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
-    if positives < 0:
-        raise ValidationError(f"covered-count bound d_bound (--d-bound) "
-                              f"must be >= 0, got {positives}")
+    check_int("samples", samples, 1)
+    check_int("covered-count bound d_bound (--d-bound)", positives, 0)
 
     if positives > _MANTISSA_MAX:
         # The solution is microscopic; ln(rate) is noise next to
@@ -119,13 +119,14 @@ def solve_confidence(samples: int, positives: int) -> PacBound:
 
 
 def safety_probability(safe_count: int, alphabet_size: int, horizon: int) -> float:
-    """safe_count / alphabet_size**horizon as a correctly rounded double."""
-    if alphabet_size < 1:
-        raise ValidationError(f"alphabet size must be >= 1, got {alphabet_size}")
-    if horizon < 1:
-        raise ValidationError(f"horizon must be >= 1, got {horizon}")
-    total = alphabet_size ** horizon
-    if not 0 <= safe_count <= total:
+    """safe_count / alphabet_size**horizon as a correctly rounded double.
+
+    Each argument is an int; ``alphabet_size`` and ``horizon`` are >= 1,
+    and ``safe_count`` lies in 0..alphabet_size**horizon.
+    """
+    check_int("alphabet size", alphabet_size, 1)
+    total = alphabet_size ** check_int("horizon", horizon, 1)
+    if not 0 <= check_int("safe count", safe_count) <= total:
         raise ValidationError(
             f"safe count {safe_count} outside 0..{total} "
             f"(= {alphabet_size}^{horizon}); exact counting required")

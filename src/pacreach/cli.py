@@ -27,7 +27,7 @@ from . import analysis
 from .baselines import exact_count_dp, monte_carlo
 from .bounds import rate_for_confidence, required_samples, solve_confidence
 from .errors import (PacreachError, ResourceCapError, TransportError,
-                     ValidationError)
+                     ValidationError, check_int)
 from .learner import ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL
 from .mealy import MealyMachine
 from .models import resolve_model
@@ -206,9 +206,8 @@ def _cmd_reproduce_table(args) -> int:
 def _cmd_serve_model(args) -> int:
     if args.max_sessions is not None and not args.listen:
         raise ValidationError("--max-sessions applies only to --listen")
-    if args.max_sessions is not None and args.max_sessions < 1:
-        raise ValidationError(
-            f"--max-sessions must be >= 1, got {args.max_sessions}")
+    if args.max_sessions is not None:
+        check_int("--max-sessions", args.max_sessions, 1)
     machine = resolve_model(args.model)
     if args.listen:
         host, port = parse_host_port(args.listen)

@@ -13,6 +13,30 @@ class ValidationError(PacreachError):
     """Invalid model, symbol, horizon or argument."""
 
 
+def check_int(name, value, low=None, high=None):
+    """``value`` if it is an int, not a bool, within [low, high].
+
+    The one rule for every count argument (a horizon, a budget, a seed,
+    a port); anything else raises ValidationError naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    if high is not None and value > high:
+        raise ValidationError(f"{name} must be <= {high}, got {value}")
+    return value
+
+
+def check_real(name, value):
+    """``value`` if it is an int or a float, not a bool; the caller
+    checks its range. Anything else raises ValidationError naming
+    ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 class ParseError(ValidationError):
     """Malformed model or monomial text.
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Iterator
 
-from .errors import SamplingCapError, ValidationError
+from .errors import SamplingCapError, ValidationError, check_int
 from .monomials import Monomial, MonomialSet
 from .sul import SafetyQuery
 
@@ -59,20 +59,18 @@ DEFAULT_ORACLE_EXPANSION_CAP = 1_000_000
 
 @dataclass(frozen=True)
 class LearnerConfig:
+    """``horizon`` and ``sample_budget`` are ints >= 1, ``rng_seed`` any
+    int."""
+
     horizon: int
     sample_budget: int
     rng_seed: int = 0
     oracle_semantics: str = ORACLE_ALL_SAFE
 
     def __post_init__(self):
-        for name in ("horizon", "sample_budget"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an int, got {value!r}")
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
-        if self.sample_budget < 1:
-            raise ValidationError("sample budget must be >= 1")
+        check_int("horizon", self.horizon, 1)
+        check_int("sample_budget", self.sample_budget, 1)
+        check_int("rng_seed", self.rng_seed)
         if self.oracle_semantics not in (ORACLE_ALL_SAFE,
                                          ORACLE_PAPER_LITERAL):
             raise ValidationError(

@@ -16,7 +16,7 @@ import random
 from functools import partial
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int, check_real
 from .mealy import MealyMachine, load_model
 
 __all__ = ["build_alks", "random_machine", "BUNDLED", "resolve_model"]
@@ -34,10 +34,12 @@ def random_machine(num_states: int, alphabet_size: int,
     argument likes best; without it they get random exits, modelling
     recovery. Outputs signal the safety of the state being entered, so
     output-classified black-box verdicts agree with state-label ones.
+    ``num_states`` and ``alphabet_size`` are ints >= 1, and
+    ``unsafe_fraction`` is a number in [0, 1].
     """
-    if num_states < 1 or alphabet_size < 1:
-        raise ValidationError("need at least one state and one input")
-    if not 0.0 <= unsafe_fraction <= 1.0:
+    check_int("num_states", num_states, 1)
+    check_int("alphabet_size", alphabet_size, 1)
+    if not 0.0 <= check_real("unsafe_fraction", unsafe_fraction) <= 1.0:
         raise ValidationError("unsafe_fraction must lie in [0, 1]")
     rng = random.Random(seed)
     states = tuple(f"q{k}" for k in range(num_states))

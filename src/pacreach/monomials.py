@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .errors import ParseError, ResourceCapError, ValidationError
+from .errors import ParseError, ResourceCapError, ValidationError, check_int
 
 __all__ = ["Monomial", "MonomialSet"]
 
@@ -35,9 +35,9 @@ class Monomial:
 
     @classmethod
     def from_map(cls, horizon: int, bindings: dict[int, str]) -> "Monomial":
-        """Bind ``bindings[pos]`` at each 1-indexed step ``pos``."""
-        if horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {horizon}")
+        """Bind ``bindings[pos]`` at each 1-indexed step ``pos``; the
+        ``horizon`` is an int >= 1."""
+        check_int("horizon", horizon, 1)
         for pos in bindings:
             if not 1 <= pos <= horizon:
                 raise ValidationError(
@@ -98,7 +98,7 @@ _BINDING_RE = re.compile(r"^(\d+)\s*=\s*(\S+)$")
 
 @dataclass
 class MonomialSet:
-    """A disjunction of monomials over one shared horizon.
+    """A disjunction of monomials over one shared horizon, an int >= 1.
 
     Members keep their insertion order. ``add`` appends in place, and
     the constructor adds each member of the iterable it is given the
@@ -121,8 +121,7 @@ class MonomialSet:
                                          compare=False)
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValidationError(f"horizon must be >= 1, got {self.horizon}")
+        check_int("horizon", self.horizon, 1)
         self._free = [0] * self.horizon
         self._bound = [{} for _ in range(self.horizon)]
         given, self.monomials = self.monomials, []
@@ -175,9 +174,9 @@ class MonomialSet:
     # -- counting ----------------------------------------------------------
 
     def count_formula(self, alphabet_size: int) -> int:
-        """Sum of per-member expansion sizes (may over-count overlaps)."""
-        if alphabet_size < 1:
-            raise ValidationError("alphabet size must be >= 1")
+        """Sum of per-member expansion sizes (may over-count overlaps);
+        ``alphabet_size`` is an int >= 1."""
+        check_int("alphabet size", alphabet_size, 1)
         return sum(m.expansion_size(alphabet_size) for m in self.monomials)
 
     def count_exact(self, alphabet: Sequence[str]) -> int:

@@ -27,7 +27,7 @@ import sys
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .mealy import MealyMachine
 from .monomials import Monomial
 
@@ -139,13 +139,10 @@ class SafetyQuery(ABC):
 
         ``rng`` is read in blocks of ``DRAW_BLOCK_WORDS`` words, so its
         state afterwards is not that of the twin: pass a generator that
-        nothing else reads. A bad horizon raises ValidationError here,
-        before ``rng`` is read.
+        nothing else reads. A horizon that is not an int >= 1 raises
+        ValidationError here, before ``rng`` is read.
         """
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValidationError(f"horizon must be an int, got {n!r}")
-        if n < 1:
-            raise ValidationError(f"horizon must be >= 1, got {n}")
+        check_int("horizon", n, 1)
         stream = Draws()
         blocks = _choice_blocks(n, len(self.input_alphabet), rng)
         stream.items = self._draws(n, self.input_alphabet, blocks, stream)

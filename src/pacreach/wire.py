@@ -63,7 +63,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
 
-from .errors import TransportError, ValidationError
+from .errors import TransportError, ValidationError, check_int, check_real
 from .mealy import MealyMachine
 from .sul import SafetyQuery, _symbols
 
@@ -92,26 +92,28 @@ MAX_TIMEOUT = (2 ** 31 - 1) / 1000
 
 
 def parse_host_port(address: str) -> tuple[str, int]:
-    """Split a HOST:PORT address; the port is ASCII digits, up to 65535."""
-    host, _, port = address.rpartition(":")
-    if not (host and port.isascii() and port.isdigit()) or int(port) > 65535:
-        raise ValidationError(
-            f"address must be HOST:PORT (port 0-65535), got {address!r}")
-    return host, int(port)
+    """Split a HOST:PORT string; the port is ASCII digits, up to 65535."""
+    if isinstance(address, str):
+        host, _, port = address.rpartition(":")
+        if host and port.isascii() and port.isdigit() and int(port) <= 65535:
+            return host, int(port)
+    raise ValidationError(
+        f"address must be HOST:PORT (port 0-65535), got {address!r}")
 
 
 @dataclass(frozen=True)
 class BlackBoxConfig:
     """How to reach a black box and how to read its verdicts.
 
-    Exactly one of ``command`` (a subprocess invocation, split with
-    shell quoting rules into ``argv``) and ``address`` (a HOST:PORT
-    string) must be set. ``timeout`` bounds, in seconds, each wait for
-    the next reply line (and a TCP connect), not a whole query: a query
-    of n steps may take up to n + 1 timeouts while its replies keep
-    coming. It must lie in ``(0, MAX_TIMEOUT]``. ``unsafe_outputs`` is
-    kept as a frozenset of reply tokens, each non-empty and free of
-    whitespace; ``max_retries`` is an int >= 0.
+    Exactly one of ``command`` (a subprocess invocation string, split
+    with shell quoting rules into ``argv``) and ``address`` (a HOST:PORT
+    string, split into ``host_port``) must be set. ``timeout`` bounds,
+    in seconds, each wait for the next reply line (and a TCP connect),
+    not a whole query: a query of n steps may take up to n + 1 timeouts
+    while its replies keep coming. It is a number in
+    ``(0, MAX_TIMEOUT]``. ``unsafe_outputs`` is kept as a frozenset of
+    reply tokens, each non-empty and free of whitespace; ``max_retries``
+    is an int >= 0. Each field is checked when the config is built.
     """
 
     command: str | None = None
@@ -120,12 +122,19 @@ class BlackBoxConfig:
     timeout: float = 5.0
     max_retries: int = 2
     argv: tuple[str, ...] = field(init=False, default=())
+    host_port: tuple[str, int] | None = field(init=False, default=None)
 
     def __post_init__(self):
         if (self.command is None) == (self.address is None):
             raise ValidationError(
                 "exactly one of command / address must be given")
-        if self.command is not None:
+        if self.address is not None:
+            object.__setattr__(self, "host_port",
+                               parse_host_port(self.address))
+        elif not isinstance(self.command, str):
+            raise ValidationError(
+                f"command must be a string, got {self.command!r}")
+        else:
             try:
                 argv = tuple(shlex.split(self.command))
             except ValueError as exc:
@@ -150,13 +159,11 @@ class BlackBoxConfig:
             raise ValidationError(
                 f"unsafe output tokens must be non-empty and hold no "
                 f"whitespace, got {', '.join(sorted(map(repr, bad)))}")
-        if not 0 < self.timeout <= MAX_TIMEOUT:
+        if not 0 < check_real("timeout", self.timeout) <= MAX_TIMEOUT:
             raise ValidationError(
                 f"timeout must be in (0, {MAX_TIMEOUT}] seconds, "
                 f"got {self.timeout}")
-        if not isinstance(self.max_retries, int) or self.max_retries < 0:
-            raise ValidationError(
-                f"max_retries must be an int >= 0, got {self.max_retries!r}")
+        check_int("max_retries", self.max_retries, 0)
 
 
 class _ConnectionLost(TransportError):
@@ -252,10 +259,10 @@ def _connect(config: BlackBoxConfig, counters) -> _Channel:
             child_end.close()
         return _Channel(sock, proc, counters)
 
-    assert config.address is not None
-    host, port = parse_host_port(config.address)
+    assert config.host_port is not None
     try:
-        sock = socket.create_connection((host, port), timeout=config.timeout)
+        sock = socket.create_connection(config.host_port,
+                                        timeout=config.timeout)
     except OSError as exc:
         raise _ConnectionLost(f"cannot connect to {config.address}: {exc}") \
             from exc
@@ -585,18 +592,22 @@ def serve_tcp(machine: MealyMachine, host: str = "127.0.0.1", port: int = 0,
               ready=None, max_sessions: int | None = None):
     """Serve the model on a TCP socket, one client at a time. Blocks.
 
-    ``ready`` (if given) is called with the bound (host, port) once the
-    socket is listening; with ``port=0`` that is the only way to learn
-    the ephemeral port. ``max_sessions`` bounds how many client
-    connections are served before returning (None = serve forever).
-    The replies to all the complete requests one read brings go out in
-    one write. A connection error ends only the session it happens in.
+    ``port`` is an int in 0..65535. ``ready`` (if given) is called with
+    the bound (host, port) once the socket is listening; with ``port=0``
+    that is the only way to learn the ephemeral port. ``max_sessions``
+    bounds how many client connections are served before returning:
+    None serves forever, else it is an int >= 1. The replies to all the
+    complete requests one read brings go out in one write. A connection
+    error ends only the session it happens in.
     ``host`` is a name or an IPv4 or IPv6 literal, and its first
     address sets the socket's family; "" means every address of the
     resolver's first family, IPv4 with glibc. A host that does not
     resolve, or a socket that cannot bind or listen, raises
     TransportError.
     """
+    check_int("port", port, 0, 65535)
+    if max_sessions is not None:
+        check_int("max_sessions", max_sessions, 1)
     table = _answer_table(machine)
     try:
         family = socket.getaddrinfo(host or None, port,
