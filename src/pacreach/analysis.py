@@ -35,8 +35,8 @@ from .seeding import derive_seed
 from .sul import MachineSafetyQuery, SafetyQuery
 
 __all__ = ["AnalysisReport", "CellCheck", "TableReproduction", "analyze",
-           "reproduce_table", "reports_to_csv", "reports_to_json_lines",
-           "REFERENCE_RESULTS"]
+           "plan_analysis", "reproduce_table", "reports_to_csv",
+           "reports_to_json_lines", "REFERENCE_RESULTS"]
 
 FORMAT_VERSION = "1"
 
@@ -162,6 +162,38 @@ def _count_exact_or_fallback(learned: MonomialSet, alphabet: tuple[str, ...],
         return None, used, True, formula > total
 
 
+def plan_analysis(*, horizon: int, sample_budget: int | None = None,
+                  target_confidence: float | None = None,
+                  d_bound: int | None = None, seed: int = DEFAULT_SEED,
+                  oracle_semantics: str = ORACLE_ALL_SAFE
+                  ) -> tuple[list[int], LearnerConfig]:
+    """The budgets an `analyze` call with these arguments tries, in
+    order, and its learner config at the first of them.
+
+    It makes every check of these arguments that `analyze` makes, and
+    needs no target, so a front end can refuse bad arguments before it
+    opens one.
+    """
+    if (sample_budget is None) == (target_confidence is None):
+        raise ValidationError(
+            "exactly one of sample_budget / target_confidence must be given")
+    if d_bound is not None and target_confidence is None:
+        raise ValidationError("d_bound is only used with target_confidence")
+    if sample_budget is not None:
+        budgets = [sample_budget]
+    else:
+        # Sizing mode: start at the bound's budget for d_bound covered
+        # paths (0 without it) and double. Every round uses budget
+        # mode's seeds, so the report is budget mode's at its samples.
+        base = required_samples(rate_for_confidence(target_confidence),
+                                0 if d_bound is None else d_bound)
+        budgets = [base * 2 ** k for k in range(MAX_CONFIDENCE_ROUNDS)]
+    cfg = LearnerConfig(horizon=horizon, sample_budget=budgets[0],
+                        rng_seed=derive_seed(seed, "learner:main"),
+                        oracle_semantics=oracle_semantics)
+    return budgets, cfg
+
+
 def analyze(target, *, horizon: int, model_name: str | None = None,
             sample_budget: int | None = None,
             target_confidence: float | None = None,
@@ -197,26 +229,12 @@ def analyze(target, *, horizon: int, model_name: str | None = None,
             f"{type(target).__name__}")
     if model_name is None:
         model_name = type(target).__name__
-    if (sample_budget is None) == (target_confidence is None):
-        raise ValidationError(
-            "exactly one of sample_budget / target_confidence must be given")
-    if d_bound is not None and target_confidence is None:
-        raise ValidationError("d_bound is only used with target_confidence")
+    budgets, cfg = plan_analysis(
+        horizon=horizon, sample_budget=sample_budget,
+        target_confidence=target_confidence, d_bound=d_bound, seed=seed,
+        oracle_semantics=oracle_semantics)
     alphabet = sul.input_alphabet
-
-    if sample_budget is not None:
-        budgets = [sample_budget]
-    else:
-        # Sizing mode: start at the bound's budget for d_bound covered
-        # paths (0 without it) and double. Every round uses budget
-        # mode's seeds, so the report is budget mode's at its samples.
-        base = required_samples(rate_for_confidence(target_confidence),
-                                0 if d_bound is None else d_bound)
-        budgets = [base * 2 ** k for k in range(MAX_CONFIDENCE_ROUNDS)]
     run: dict = {}  # one learner run, which each round continues
-    cfg = LearnerConfig(horizon=horizon, sample_budget=budgets[0],
-                        rng_seed=derive_seed(seed, "learner:main"),
-                        oracle_semantics=oracle_semantics)
     total = len(alphabet) ** horizon
     for budget in budgets:
         learned, stats = learn_safe_set(

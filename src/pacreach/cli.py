@@ -135,6 +135,11 @@ def _render_report(report: analysis.AnalysisReport, fmt: str | None) -> str:
 
 def _cmd_analyze(args) -> int:
     _check_out(args.out)
+    # analyze's own argument checks, made before a black box starts
+    analysis.plan_analysis(
+        horizon=args.n, sample_budget=args.samples,
+        target_confidence=args.confidence, d_bound=args.d_bound,
+        seed=args.seed, oracle_semantics=args.oracle_semantics)
     with _open_target(args) as (target, name):
         report = analysis.analyze(
             target, horizon=args.n, model_name=name,
@@ -155,10 +160,13 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    # monte_carlo's argument checks, made before a black box starts
+    check_int("samples", args.samples, 1)
+    seed = derive_seed(args.seed, "estimate")
+    check_int("horizon", args.n, 1)
     with _open_target(args) as (target, _name):
         if isinstance(target, MealyMachine):
             target = MachineSafetyQuery(target)
-        seed = derive_seed(args.seed, "estimate")
         mc = monte_carlo(target, args.n, args.samples, seed)
     print(f"samples: {mc.samples}")
     print(f"safe_hits: {mc.safe_hits}")

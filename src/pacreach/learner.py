@@ -116,6 +116,11 @@ def draw_safe_example(draws: Iterator) -> Monomial:
     raise SamplingCapError(DEFAULT_SAMPLE_ATTEMPT_CAP)
 
 
+def _log_refusal(candidate: Monomial, size: int) -> None:
+    log.info("not generalizing %s: expansion of %d sequences exceeds cap %d",
+             candidate, size, DEFAULT_ORACLE_EXPANSION_CAP)
+
+
 def query_oracle(sul: SafetyQuery, candidate: Monomial,
                  semantics: str = ORACLE_ALL_SAFE) -> bool:
     """Decide whether a candidate generalization is acceptable.
@@ -142,9 +147,7 @@ def query_oracle(sul: SafetyQuery, candidate: Monomial,
         raise ValidationError(f"unknown oracle semantics {semantics!r}")
     size = candidate.expansion_size(len(sul.input_alphabet))
     if size > DEFAULT_ORACLE_EXPANSION_CAP:
-        log.info(
-            "not generalizing %s: expansion of %d sequences exceeds cap %d",
-            candidate, size, DEFAULT_ORACLE_EXPANSION_CAP)
+        _log_refusal(candidate, size)
         return False
     return sul.answer_monomial(candidate, semantics == ORACLE_ALL_SAFE)
 
@@ -204,9 +207,7 @@ def learn_safe_set(sul: SafetyQuery, cfg: LearnerConfig,
                 if sym is None]
         if len(free) == max_free:  # every later candidate was refused
             for pos in range(max(free, default=0) + 1, cfg.horizon + 1):
-                log.info("not generalizing %s: expansion of %d sequences "
-                         "exceeds cap %d", example.without(pos),
-                         k ** (max_free + 1), expansion_cap)
+                _log_refusal(example.without(pos), k ** (max_free + 1))
         # a duplicate would have implied the draw, which was skipped above
         learned.add(example)
         log.info("appended %s", example)

@@ -110,9 +110,6 @@ class MealyMachine:
             outs.append(out)
         return RunResult(state, tuple(outs), state in self.safe_states)
 
-    def is_safe(self, seq: Sequence[str]) -> bool:
-        return self.trace(seq).safe
-
 
 # -- text format -------------------------------------------------------------
 #

@@ -8,17 +8,16 @@ disjunction of those. The sum formula count (alphabet size raised to
 the number of don't-cares, summed over members) can over-count when
 members overlap, so an exact union count is provided alongside it.
 
-Time steps are 1-indexed in the text form, {1=clean, 2=water}.
+``str(Monomial)`` names its bound steps 1-indexed: {1=clean, 2=water}.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from .errors import ParseError, ResourceCapError, ValidationError, check_int
+from .errors import ResourceCapError, ValidationError, check_int
 
 __all__ = ["Monomial", "MonomialSet"]
 
@@ -32,17 +31,6 @@ class Monomial:
     """Per time step, the bound input symbol or None for a don't-care."""
 
     symbols: tuple[str | None, ...]
-
-    @classmethod
-    def from_map(cls, horizon: int, bindings: dict[int, str]) -> "Monomial":
-        """Bind ``bindings[pos]`` at each 1-indexed step ``pos``; the
-        ``horizon`` is an int >= 1."""
-        check_int("horizon", horizon, 1)
-        for pos in bindings:
-            if not 1 <= pos <= horizon:
-                raise ValidationError(
-                    f"bound position {pos} outside 1..{horizon}")
-        return cls(tuple(bindings.get(pos) for pos in range(1, horizon + 1)))
 
     @classmethod
     def from_sequence(cls, seq: Sequence[str]) -> "Monomial":
@@ -92,8 +80,6 @@ class Monomial:
                           enumerate(self.symbols, start=1) if s is not None)
         return "{" + inner + "}"
 
-
-_BINDING_RE = re.compile(r"^(\d+)\s*=\s*(\S+)$")
 
 
 @dataclass
@@ -237,51 +223,3 @@ class MonomialSet:
             frontier = successors
         return total
 
-    # -- text form -----------------------------------------------------------
-
-    def to_text(self) -> str:
-        lines = [f"n={self.horizon}"]
-        lines.extend(str(m) for m in self.monomials)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "MonomialSet":
-        """Parse the report form: an ``n=`` header then one {..} per line."""
-        result: MonomialSet | None = None
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if result is None:
-                m = re.fullmatch(r"n\s*=\s*(\d+)", line)
-                if not m:
-                    raise ParseError("expected 'n=<horizon>' header",
-                                     line=lineno)
-                horizon = int(m.group(1))
-                if horizon < 1:
-                    raise ParseError(f"horizon must be >= 1, got {horizon}",
-                                     line=lineno)
-                result = cls(horizon, [])
-                continue
-            if not (line.startswith("{") and line.endswith("}")):
-                raise ParseError("expected '{pos=sym, ...}'", line=lineno)
-            body = line[1:-1].strip()
-            bindings: dict[int, str] = {}
-            if body:
-                for part in body.split(","):
-                    bm = _BINDING_RE.match(part.strip())
-                    if not bm:
-                        raise ParseError(
-                            f"bad binding {part.strip()!r}", line=lineno)
-                    pos = int(bm.group(1))
-                    if pos in bindings:
-                        raise ParseError(f"position {pos} bound twice",
-                                         line=lineno)
-                    bindings[pos] = bm.group(2)
-            try:
-                result.add(Monomial.from_map(result.horizon, bindings))
-            except ValidationError as exc:
-                raise ParseError(str(exc), line=lineno) from exc
-        if result is None:
-            raise ParseError("missing 'n=<horizon>' header")
-        return result

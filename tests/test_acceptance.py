@@ -60,7 +60,7 @@ def test_criterion_2_learner_recovers_the_counts_across_seeds():
             for seq in itertools.product(sul.input_alphabet,
                                          repeat=horizon):
                 if learned.covers(seq):
-                    assert machine.is_safe(seq), \
+                    assert machine.trace(seq).safe, \
                         f"unsound at horizon {horizon}, seed {seed}: {seq}"
         assert exact_hits >= 4, \
             f"horizon {horizon}: only {exact_hits}/5 seeds exact"
@@ -147,8 +147,8 @@ def test_criterion_8_property_suites():
     for n in range(1, 6):
         for _ in range(20):
             bound = rng.sample(range(1, n + 1), rng.randint(0, n))
-            mono = Monomial.from_map(
-                n, {p: rng.choice(alphabet) for p in bound})
+            bindings = {p: rng.choice(alphabet) for p in bound}
+            mono = Monomial(tuple(bindings.get(p) for p in range(1, n + 1)))
             seqs = list(mono.expand(alphabet))
             assert len(seqs) == len(set(seqs)) == 3 ** (n - len(bound))
             assert mono.expansion_size(3) == len(seqs)
@@ -163,8 +163,10 @@ def test_criterion_8_property_suites():
                                                     bound_count):
                 for values in itertools.product(sul.input_alphabet,
                                                 repeat=bound_count):
-                    cand = Monomial.from_map(n, dict(zip(positions, values)))
-                    expected = all(machine.is_safe(s)
+                    bindings = dict(zip(positions, values))
+                    cand = Monomial(
+                        tuple(bindings.get(p) for p in range(1, n + 1)))
+                    expected = all(machine.trace(s).safe
                                    for s in cand.expand(sul.input_alphabet))
                     assert query_oracle(sul, cand) is expected
 
@@ -200,7 +202,7 @@ def test_criterion_8_property_suites():
         assert learned.count_exact(msul.input_alphabet) <= truth
         for s in itertools.product(msul.input_alphabet, repeat=n):
             if learned.covers(s):
-                assert m.is_safe(s)
+                assert m.trace(s).safe
         checked += 1
 
     elapsed = time.perf_counter() - started

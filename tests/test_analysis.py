@@ -203,7 +203,8 @@ def test_fallback_clips_the_count_at_the_sequence_total(monkeypatch):
     for a in "xyz":
         for b in "xyz":
             for p, q in ((1, 2), (2, 3), (1, 3)):
-                members.append(Monomial.from_map(3, {p: a, q: b}))
+                members.append(Monomial(tuple(
+                    {p: a, q: b}.get(pos) for pos in (1, 2, 3))))
     learned = MonomialSet(3, tuple(members[:22]))
     assert learned.count_formula(3) > 27
     monkeypatch.setattr("pacreach.monomials.DEFAULT_COUNT_CAP", 1)
@@ -219,7 +220,8 @@ def test_adversarial_set_hits_the_default_cap_and_is_flagged():
     # set after 20 positions records every choice: 2^20 walk states
     n = 40
     learned = MonomialSet(n, tuple(
-        Monomial.from_map(n, {i: s, i + 20: s})
+        Monomial(tuple(s if pos in (i, i + 20) else None
+                       for pos in range(1, n + 1)))
         for i in range(1, 21) for s in "ab"))
     exact, used, upper, clipped = _count_exact_or_fallback(
         learned, ("a", "b"), learned.count_formula(2), 2 ** n)

@@ -4,12 +4,13 @@ naming the argument, before any query, connect or bind."""
 
 import random
 import re
+import shlex
 import socket
 import sys
 
 import pytest
 
-from pacreach.analysis import analyze, reproduce_table
+from pacreach.analysis import analyze, plan_analysis, reproduce_table
 from pacreach.baselines import (exact_count_dp, exact_count_enumerate,
                                 monte_carlo)
 from pacreach.bounds import (rate_for_confidence, required_samples,
@@ -18,7 +19,7 @@ from pacreach.cli import main
 from pacreach.errors import ValidationError
 from pacreach.learner import LearnerConfig
 from pacreach.models import build_alks, random_machine
-from pacreach.monomials import Monomial, MonomialSet
+from pacreach.monomials import MonomialSet
 from pacreach.seeding import derive_seed
 from pacreach.sul import MachineSafetyQuery
 from pacreach.wire import BlackBoxConfig, RemoteSafetyQuery, serve_tcp
@@ -74,7 +75,8 @@ OTHER_CASES = [
     ("safe count", lambda v: safety_probability(v, 3, 3), counts(0)),
     ("alphabet size", lambda v: safety_probability(1, v, 3), counts(1)),
     ("horizon", lambda v: safety_probability(1, 3, v), counts(1)),
-    ("horizon", lambda v: Monomial.from_map(v, {}), counts(1)),
+    ("horizon", lambda v: plan_analysis(horizon=v, sample_budget=10),
+     counts(1)),
     ("horizon", lambda v: MonomialSet(v, []), counts(1)),
     ("alphabet size", lambda v: MonomialSet(2, []).count_formula(v),
      counts(1)),
@@ -177,3 +179,28 @@ def test_the_cli_refuses_a_count_below_its_bound(capsys, monkeypatch, argv,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "-n", "0", "-L", "10"],
+    ["estimate", "-n", "0", "-L", "10"],
+    ["analyze", "-n", "3", "-L", "0"],
+    ["estimate", "-n", "3", "-L", "0"],
+    ["analyze", "-n", "3", "--confidence", "1.5"],
+    ["analyze", "-n", "3", "-L", "10", "--d-bound", "3"],
+])
+def test_the_cli_refuses_a_bad_argument_before_it_starts_a_black_box(
+        tmp_path, capsys, argv):
+    # the --cmd program records each start and exits
+    starts = tmp_path / "starts"
+    recorder = tmp_path / "record.py"
+    recorder.write_text(f"open({str(starts)!r}, 'a').write('start\\n')\n")
+    assert main(argv + ["--model", "alks_without"]) == 2
+    want = capsys.readouterr().err
+    assert want.startswith("error: ") and want.count("\n") == 1
+    command = shlex.join([sys.executable, str(recorder)])
+    assert main(argv + ["--cmd", command, "--unsafe-outputs", "alarm"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == want
+    assert not starts.exists()

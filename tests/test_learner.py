@@ -53,18 +53,18 @@ def test_draw_safe_example_gives_up_when_nothing_is_safe(monkeypatch):
 def test_query_oracle_accepts_an_all_safe_generalization():
     # leaving position 1 free over {2=straight-ish bindings} stays safe
     sul = MachineSafetyQuery(build_alks(False))
-    assert query_oracle(sul, Monomial.from_map(3, {2: "s", 3: "s"})) is True
+    assert query_oracle(sul, Monomial((None, "s", "s"))) is True
 
 
 def test_query_oracle_rejects_a_partly_unsafe_generalization():
     # [s, l, l] drives the cruise controller into the alarm state
     sul = MachineSafetyQuery(build_alks(False))
-    assert query_oracle(sul, Monomial.from_map(3, {2: "l", 3: "l"})) is False
+    assert query_oracle(sul, Monomial((None, "l", "l"))) is False
 
 
 def test_query_oracle_any_safe_variant_accepts_the_same_candidate():
     sul = MachineSafetyQuery(build_alks(False))
-    verdict = query_oracle(sul, Monomial.from_map(3, {2: "l", 3: "l"}),
+    verdict = query_oracle(sul, Monomial((None, "l", "l")),
                            semantics=ORACLE_PAPER_LITERAL)
     assert verdict is True  # [r, l, l] stays safe, and one witness suffices
 
@@ -78,8 +78,10 @@ def test_query_oracle_matches_brute_force_on_every_small_candidate():
         for positions in itertools.combinations(range(1, n + 1), free):
             bound = [p for p in range(1, n + 1) if p not in positions]
             for values in itertools.product(alphabet, repeat=len(bound)):
-                candidate = Monomial.from_map(n, dict(zip(bound, values)))
-                expected = all(machine.is_safe(s)
+                bindings = dict(zip(bound, values))
+                candidate = Monomial(
+                    tuple(bindings.get(p) for p in range(1, n + 1)))
+                expected = all(machine.trace(s).safe
                                for s in candidate.expand(alphabet))
                 assert query_oracle(sul, candidate) is expected
 
@@ -88,7 +90,7 @@ def test_query_oracle_expansion_cap_refuses_not_fabricates(caplog,
                                                            monkeypatch):
     monkeypatch.setattr(learner, "DEFAULT_ORACLE_EXPANSION_CAP", 10)
     sul = MachineSafetyQuery(BUNDLED["all_safe"]())
-    candidate = Monomial.from_map(5, {1: "i0"})
+    candidate = Monomial(("i0",) + (None,) * 4)
     with caplog.at_level(logging.INFO, logger="pacreach.learner"):
         verdict = query_oracle(sul, candidate)
     assert verdict is False
@@ -100,7 +102,7 @@ def test_query_oracle_rejects_unknown_semantics_over_the_cap(caplog):
     # 3 ** 13 covered sequences: over the default expansion cap, so the
     # semantics must be checked before the cap turns the call into False
     sul = MachineSafetyQuery(BUNDLED["all_safe"]())
-    candidate = Monomial.from_map(14, {1: "i0"})
+    candidate = Monomial(("i0",) + (None,) * 13)
     assert candidate.expansion_size(3) > learner.DEFAULT_ORACLE_EXPANSION_CAP
     with pytest.raises(ValidationError, match="bogus"):
         query_oracle(sul, candidate, semantics="bogus")
@@ -116,7 +118,7 @@ def test_query_oracle_rejects_unknown_semantics_over_the_cap(caplog):
 def test_query_oracle_rejects_a_bound_symbol_outside_the_alphabet(
         semantics, bindings, unknown):
     # the adapter checks, so a direct answer_monomial call fails alike
-    candidate = Monomial.from_map(3, bindings)
+    candidate = Monomial(tuple(bindings.get(p) for p in (1, 2, 3)))
     for sul in (MachineSafetyQuery(build_alks(False)),
                 _BlackBox(build_alks(False))):
         sul.query_count = 5
@@ -143,7 +145,7 @@ def test_query_oracle_counts_the_queries_up_to_the_first_deciding_one(
     for n in range(1, 5):
         for symbols in itertools.product((*alphabet, None), repeat=n):
             candidate = Monomial(symbols)
-            verdicts = [machine.is_safe(seq)
+            verdicts = [machine.trace(seq).safe
                         for seq in candidate.expand(alphabet)]
             deciding = [j for j, safe in enumerate(verdicts)
                         if safe != want_all]
@@ -193,7 +195,7 @@ def test_learned_set_is_sound_exhaustively():
     learned, _ = learn_safe_set(
         sul, LearnerConfig(horizon=3, sample_budget=200, rng_seed=9))
     for seq in covered_sequences(learned, sul.input_alphabet, 3):
-        assert machine.is_safe(seq)
+        assert machine.trace(seq).safe
 
 
 def test_learned_monomials_are_maximally_general():
@@ -208,7 +210,7 @@ def test_learned_monomials_are_maximally_general():
             if sym is None:
                 continue
             relaxed = mono.without(pos)
-            assert any(not machine.is_safe(s)
+            assert any(not machine.trace(s).safe
                        for s in relaxed.expand(sul.input_alphabet))
 
 
@@ -312,7 +314,7 @@ def test_any_safe_oracle_overgeneralizes():
             sul, LearnerConfig(horizon=3, sample_budget=50, rng_seed=11,
                                oracle_semantics=semantics))
         covered = covered_sequences(learned, sul.input_alphabet, 3)
-        unsafe = {s for s in covered if not machine.is_safe(s)}
+        unsafe = {s for s in covered if not machine.trace(s).safe}
         return len(covered), len(unsafe)
 
     assert run(ORACLE_ALL_SAFE) == (17, 0)

@@ -64,7 +64,7 @@ def test_assistance_only_helps():
 def test_coffee_pins_down_length_two_behaviour():
     machine = BUNDLED["coffee"]()
     for pair in itertools.product(machine.inputs, repeat=2):
-        assert machine.is_safe(pair) == ("button" not in pair)
+        assert machine.trace(pair).safe == ("button" not in pair)
 
 
 def test_coffee_reference_counts():
@@ -82,8 +82,8 @@ def test_coffee_happy_path_dispenses():
 
 def test_trivial_machines():
     assert random_machine(1, 2, 0.0, seed=0).inputs == ("i0", "i1")
-    assert BUNDLED["all_safe"]().is_safe(("i0", "i2", "i1"))
-    assert not BUNDLED["none_safe"]().is_safe(("i0",))
+    assert BUNDLED["all_safe"]().trace(("i0", "i2", "i1")).safe
+    assert not BUNDLED["none_safe"]().trace(("i0",)).safe
 
 
 def test_random_machine_is_deterministic_in_the_seed():

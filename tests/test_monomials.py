@@ -3,12 +3,12 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pacreach.errors import ParseError, ResourceCapError, ValidationError
+from pacreach.errors import ResourceCapError, ValidationError
 from pacreach.monomials import Monomial, MonomialSet
 
 
 def mono(n, bindings):
-    return Monomial.from_map(n, bindings)
+    return Monomial(tuple(bindings.get(pos) for pos in range(1, n + 1)))
 
 
 def test_expand_fully_bound_is_single_sequence():
@@ -76,11 +76,7 @@ def test_covers_iff_in_expansion():
 
 def test_bindings_validation():
     with pytest.raises(ValidationError):
-        mono(2, {3: "a"})
-    with pytest.raises(ValidationError):
         mono(2, {1: "a"}).without(3)
-    with pytest.raises(ValidationError):
-        mono(0, {})
 
 
 # -- implication ---------------------------------------------------------------
@@ -295,37 +291,8 @@ def test_set_validation():
     assert g.monomials == [mono(2, {1: "a"})]
 
 
-# -- text form -----------------------------------------------------------------
+# -- str form ------------------------------------------------------------------
 
-def test_text_round_trip():
-    g = MonomialSet(4, (mono(4, {1: "clean", 2: "water"}),
-                        mono(4, {}), mono(4, {4: "pod"})))
-    text = g.to_text()
-    assert text.splitlines()[0] == "n=4"
-    assert "{1=clean, 2=water}" in text
-    again = MonomialSet.from_text(text)
-    assert again == g
-
-
-def test_text_parse_errors():
-    with pytest.raises(ParseError):
-        MonomialSet.from_text("{1=a}\n")  # missing header
-    with pytest.raises(ParseError):
-        MonomialSet.from_text("n=2\n1=a\n")  # missing braces
-    with pytest.raises(ParseError):
-        MonomialSet.from_text("n=2\n{9=a}\n")  # out of range
-    with pytest.raises(ParseError):
-        MonomialSet.from_text("n=2\n{x=a}\n")  # bad position
-    with pytest.raises(ParseError, match="line 2"):
-        MonomialSet.from_text("n=3\n{1=a, 1=b}\n")  # bound twice
-    with pytest.raises(ParseError, match="line 1"):
-        MonomialSet.from_text("n=0\n")  # empty horizon
-    with pytest.raises(ParseError, match="line 3"):
-        MonomialSet.from_text("n=2\n{1=a}\n{1=a}\n")  # duplicate member
-
-
-def test_text_parse_skips_comment_lines_and_needs_a_header():
-    with pytest.raises(ParseError, match="missing 'n=<horizon>' header"):
-        MonomialSet.from_text("")
-    g = MonomialSet.from_text("# learned set\nn=2\n  # none yet\n{1=a}\n")
-    assert g == MonomialSet(2, (mono(2, {1: "a"}),))
+def test_str_names_each_bound_step_one_indexed():
+    assert str(Monomial((None, None))) == "{}"
+    assert str(Monomial(("clean", "water", None))) == "{1=clean, 2=water}"
