@@ -6,24 +6,16 @@ behaviour, counts the sequences that disjunction covers, and turns the
 count into a safety probability with an attached confidence level.
 Exact counting, Monte Carlo estimation and a wire protocol for external
 systems round out the toolbox; the `pacreach` command exposes it all.
+
+Importing the package loads none of its modules. Each name in
+``__all__`` is resolved on first access (PEP 562 ``__getattr__``): the
+module that defines it is imported then, and the name is bound here, so
+later lookups are plain attribute reads. So ``from pacreach import
+analyze`` loads the analysis stack, while a process that only serves a
+model (``pacreach serve-model``) never does.
 """
 
-from .analysis import AnalysisReport, analyze, reproduce_table
-from .baselines import (ExactCount, MonteCarloEstimate, exact_count_dp,
-                        exact_count_enumerate, monte_carlo)
-from .bounds import (PacBound, required_samples, safety_probability,
-                     solve_confidence)
-from .errors import (PacreachError, ParseError, ResourceCapError,
-                     SamplingCapError, TransportError, ValidationError)
-from .learner import (LearnerConfig, LearnerStats, draw_safe_example,
-                      learn_safe_set)
-from .mealy import MealyMachine, RunResult, load_model, parse_model, \
-    serialize_model
-from .models import build_alks
-from .monomials import Monomial, MonomialSet
-from .seeding import derive_seed
-from .sul import MachineSafetyQuery, SafetyQuery
-from .wire import BlackBoxConfig, RemoteSafetyQuery, serve_stdio, serve_tcp
+import importlib
 
 __version__ = "0.1.0"
 
@@ -45,3 +37,38 @@ __all__ = [
     "BlackBoxConfig", "RemoteSafetyQuery", "serve_stdio", "serve_tcp",
     "__version__",
 ]
+
+# each exported name but __version__ -> the module that defines it
+_SOURCES = {
+    name: module for module, names in (
+        ("analysis", ("AnalysisReport", "analyze", "reproduce_table")),
+        ("baselines", ("ExactCount", "MonteCarloEstimate", "exact_count_dp",
+                       "exact_count_enumerate", "monte_carlo")),
+        ("bounds", ("PacBound", "required_samples", "safety_probability",
+                    "solve_confidence")),
+        ("errors", ("PacreachError", "ParseError", "ResourceCapError",
+                    "SamplingCapError", "TransportError", "ValidationError")),
+        ("learner", ("LearnerConfig", "LearnerStats", "draw_safe_example",
+                     "learn_safe_set")),
+        ("mealy", ("MealyMachine", "RunResult", "load_model", "parse_model",
+                   "serialize_model")),
+        ("models", ("build_alks",)),
+        ("monomials", ("Monomial", "MonomialSet")),
+        ("seeding", ("derive_seed",)),
+        ("sul", ("MachineSafetyQuery", "SafetyQuery")),
+        ("wire", ("BlackBoxConfig", "RemoteSafetyQuery", "serve_stdio",
+                  "serve_tcp")),
+    ) for name in names}
+
+
+def __getattr__(name):
+    module = _SOURCES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # the next lookup does not come here
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_SOURCES))

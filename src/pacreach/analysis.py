@@ -26,8 +26,8 @@ from .baselines import exact_count_dp, monte_carlo
 from .bounds import (rate_for_confidence, required_samples,
                      safety_probability, solve_confidence)
 from .errors import ResourceCapError, ValidationError
-from .learner import (LearnerConfig, LearnerStats, ORACLE_ALL_SAFE,
-                      learn_safe_set)
+from .learner import (DEFAULT_SEED, ORACLE_ALL_SAFE, TABLE_BUDGET,
+                      LearnerConfig, LearnerStats, learn_safe_set)
 from .mealy import MealyMachine
 from .models import BUNDLED
 from .monomials import MonomialSet
@@ -40,13 +40,10 @@ __all__ = ["AnalysisReport", "CellCheck", "TableReproduction", "analyze",
 
 FORMAT_VERSION = "1"
 
-DEFAULT_SEED = 7
-
 MAX_CONFIDENCE_ROUNDS = 8  # budget doublings in target-confidence mode
 
 TABLE_MODELS = ("alks_without", "alks_with")
 TABLE_HORIZONS = (3, 4, 5, 10)
-TABLE_BUDGET = 1000
 
 # Previously reported results the reproduction run is diffed against:
 # per (model, horizon), the covered-path count, the confidence level,

@@ -23,15 +23,12 @@ import logging
 import sys
 from pathlib import Path
 
-from . import analysis
-from .baselines import exact_count_dp, monte_carlo
-from .bounds import rate_for_confidence, required_samples, solve_confidence
 from .errors import (PacreachError, ResourceCapError, TransportError,
                      ValidationError, check_int)
-from .learner import ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL
+from .learner import (DEFAULT_SEED, ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL,
+                      TABLE_BUDGET)
 from .mealy import MealyMachine
 from .models import resolve_model
-from .seeding import derive_seed
 from .sul import MachineSafetyQuery
 from .wire import (BlackBoxConfig, RemoteSafetyQuery, parse_host_port,
                    serve_stdio, serve_tcp)
@@ -114,7 +111,10 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _render_report(report: analysis.AnalysisReport, fmt: str | None) -> str:
+def _render_report(report, fmt: str | None) -> str:
+    """An AnalysisReport as CSV, JSON lines or one ``key: value`` per
+    line."""
+    from . import analysis
     if fmt == "csv":
         return analysis.reports_to_csv([report])
     if fmt == "json-lines":
@@ -131,9 +131,13 @@ def _render_report(report: analysis.AnalysisReport, fmt: str | None) -> str:
 
 
 # -- subcommands ---------------------------------------------------------------
+#
+# Each command imports the engine it runs, so a process imports only what
+# its command needs: serve-model loads no learning or counting code.
 
 
 def _cmd_analyze(args) -> int:
+    from . import analysis
     _check_out(args.out)
     # analyze's own argument checks, made before a black box starts
     analysis.plan_analysis(
@@ -151,6 +155,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from .baselines import exact_count_dp
     machine = resolve_model(args.model)
     census = exact_count_dp(machine, args.n, semantics=args.semantics)
     print(f"safe_paths: {census.safe_paths}")
@@ -160,6 +165,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    from .baselines import monte_carlo
+    from .seeding import derive_seed
     # monte_carlo's argument checks, made before a black box starts
     check_int("samples", args.samples, 1)
     seed = derive_seed(args.seed, "estimate")
@@ -176,6 +183,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_sample_size(args) -> int:
+    from .bounds import rate_for_confidence, required_samples
     if (args.inverse_error is None) == (args.confidence is None):
         raise ValidationError(
             "exactly one of --inverse-error / --confidence is required")
@@ -190,6 +198,7 @@ def _cmd_sample_size(args) -> int:
 
 
 def _cmd_confidence(args) -> int:
+    from .bounds import solve_confidence
     if args.d_bound is None:
         raise ValidationError("--d-bound is required")
     bound = solve_confidence(args.samples, args.d_bound)
@@ -199,6 +208,7 @@ def _cmd_confidence(args) -> int:
 
 
 def _cmd_reproduce_table(args) -> int:
+    from . import analysis
     _check_out(args.out)
     result = analysis.reproduce_table(seed=args.seed,
                                       sample_budget=args.samples)
@@ -249,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-bound", type=int,
                    help="covered-count estimate that sizes sizing "
                         "mode's first round (default 0)")
-    p.add_argument("--seed", type=int, default=analysis.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--oracle-semantics", default=ORACLE_ALL_SAFE,
                    choices=[ORACLE_ALL_SAFE, ORACLE_PAPER_LITERAL])
     p.add_argument("--format", choices=["csv", "json-lines"])
@@ -269,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="horizon")
     p.add_argument("-L", dest="samples", type=int, default=1000,
                    help="number of random sequences")
-    p.add_argument("--seed", type=int, default=analysis.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("sample-size",
@@ -290,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-table",
                        help="re-run the published table rows and diff")
-    p.add_argument("--seed", type=int, default=analysis.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("-L", dest="samples", type=int,
-                   default=analysis.TABLE_BUDGET)
+                   default=TABLE_BUDGET)
     p.add_argument("--format", choices=["csv", "json-lines"], default="csv")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_reproduce_table)

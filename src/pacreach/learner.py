@@ -53,6 +53,12 @@ log = logging.getLogger(__name__)
 ORACLE_ALL_SAFE = "all-safe"
 ORACLE_PAPER_LITERAL = "paper-literal"
 
+# An analysis's master seed when none is given, and the sample budget of
+# the published table's rows. They are defined here, beside the oracle
+# semantics, so that the command line's defaults load no analysis code.
+DEFAULT_SEED = 7
+TABLE_BUDGET = 1000
+
 DEFAULT_SAMPLE_ATTEMPT_CAP = 100_000
 DEFAULT_ORACLE_EXPANSION_CAP = 1_000_000
 

@@ -185,6 +185,8 @@ class _Channel:
         self._proc = proc
         self._counters = counters
         self._buf = b""
+        # the socket's timeout as last set; a recv waits at most this long
+        self._wait = sock.gettimeout()
         self._quickack = (None if sock.family == socket.AF_UNIX
                           else getattr(socket, "TCP_QUICKACK", None))  # Linux
 
@@ -202,15 +204,21 @@ class _Channel:
         ``most`` of them; any further bytes stay unread."""
         if b"\n" not in self._buf:
             deadline = time.monotonic() + timeout
+            wait = timeout
             while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise _ConnectionLost(f"no response within {timeout:g}s")
-                self._sock.settimeout(remaining)
+                if wait != self._wait:
+                    # Each settimeout is a system call, so the timeout is
+                    # set only when the wait changes: a new timeout, or
+                    # the rest of one after a partial line.
+                    self._sock.settimeout(wait)
+                    self._wait = wait
                 try:
                     chunk = self._sock.recv(READ_BYTES)
                 except TimeoutError:
-                    continue
+                    # the recv waited ``wait`` from after it was measured,
+                    # so the deadline has passed
+                    raise _ConnectionLost(
+                        f"no response within {timeout:g}s") from None
                 except OSError as exc:
                     raise _ConnectionLost(f"read failed: {exc}") from exc
                 if not chunk:
@@ -226,6 +234,9 @@ class _Channel:
                 self._buf += chunk
                 if b"\n" in chunk:
                     break
+                wait = deadline - time.monotonic()
+                if wait <= 0:
+                    raise _ConnectionLost(f"no response within {timeout:g}s")
         *lines, self._buf = self._buf.split(b"\n", most)
         return lines
 
