@@ -30,7 +30,6 @@ ENUMERATION_CAP = 1_000_000
 class ExactCount:
     """Safe-path census at one horizon."""
 
-    horizon: int
     safe_paths: int
     total_paths: int
 
@@ -43,7 +42,6 @@ class ExactCount:
 class MonteCarloEstimate:
     samples: int
     safe_hits: int
-    seed: int
 
     @property
     def estimate(self) -> float:
@@ -83,7 +81,7 @@ def exact_count_dp(machine: MealyMachine, n: int,
                     step[state] = 0
         counts = step
     safe = sum(counts[s] for s in machine.safe_states)
-    return ExactCount(n, safe, len(machine.inputs) ** n)
+    return ExactCount(safe, len(machine.inputs) ** n)
 
 
 def exact_count_enumerate(machine: MealyMachine, n: int) -> ExactCount:
@@ -101,7 +99,7 @@ def exact_count_enumerate(machine: MealyMachine, n: int) -> ExactCount:
             f"{ENUMERATION_CAP}")
     safe = sum(1 for seq in itertools.product(machine.inputs, repeat=n)
                if machine.trace(seq).safe)
-    return ExactCount(n, safe, total)
+    return ExactCount(safe, total)
 
 
 def monte_carlo(sul: SafetyQuery, n: int, samples: int,
@@ -121,4 +119,4 @@ def monte_carlo(sul: SafetyQuery, n: int, samples: int,
     draws = sul.draws(n, random.Random(seed))
     draws.will_take = samples
     hits = sum(safe for safe, _ in itertools.islice(draws, samples))
-    return MonteCarloEstimate(samples, hits, seed)
+    return MonteCarloEstimate(samples, hits)

@@ -34,12 +34,10 @@ _REL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class PacBound:
-    """One consistent assignment of the bound's three quantities."""
+    """The rate the bound solves for, and the confidence it buys."""
 
     inverse_error: float
     confidence: float
-    samples: int
-    positives: int
 
 
 def _confidence(inverse_error: float) -> float:
@@ -97,7 +95,7 @@ def solve_confidence(samples: int, positives: int) -> PacBound:
         # `positives`, so the exact rational ratio is already far inside
         # the bisection tolerance. Confidence is 0 out here regardless.
         rate = float(Fraction(samples, 2 * positives))
-        return PacBound(rate, 0.0, samples, positives)
+        return PacBound(rate, 0.0)
 
     d = float(positives)
 
@@ -115,7 +113,7 @@ def solve_confidence(samples: int, positives: int) -> PacBound:
         else:
             hi = mid
     rate = (lo + hi) / 2.0
-    return PacBound(rate, _confidence(rate), samples, positives)
+    return PacBound(rate, _confidence(rate))
 
 
 def safety_probability(safe_count: int, alphabet_size: int, horizon: int) -> float:

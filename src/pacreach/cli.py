@@ -63,10 +63,11 @@ def _open_target(args):
     A black box's connection, and the child process behind ``--cmd``, is
     closed when the block exits.
     """
-    if sum(map(bool, (args.model, args.endpoint, args.cmd))) != 1:
+    # an empty flag counts as given: "--cmd ''" names no program
+    if [args.model, args.endpoint, args.cmd].count(None) != 2:
         raise ValidationError(
             "exactly one of --model / --endpoint / --cmd is required")
-    if args.model:
+    if args.model is not None:
         for flag, value in (("--unsafe-outputs", args.unsafe_outputs),
                             ("--timeout", args.timeout),
                             ("--retries", args.retries)):

@@ -187,7 +187,20 @@ def parse_model(text: str) -> MealyMachine:
 
 
 def serialize_model(machine: MealyMachine) -> str:
-    """Inverse of parse_model, up to comments and whitespace."""
+    """Inverse of parse_model, up to comments and whitespace.
+
+    A machine whose names the text form cannot carry raises a
+    ValidationError naming the first one: a symbol or state that is
+    empty or holds whitespace or '#', or a state that holds ':'.
+    """
+    for kind, names, banned in (("input", machine.inputs, "#"),
+                                ("output", machine.outputs, "#"),
+                                ("state", machine.states, "#:")):
+        for name in names:
+            if name.split() != [name] or any(c in name for c in banned):
+                raise ValidationError(
+                    f"{kind} {name!r} has no text form: it is empty or "
+                    f"holds whitespace or one of {banned!r}")
     buf = io.StringIO()
     buf.write("inputs: " + " ".join(machine.inputs) + "\n")
     buf.write("outputs: " + " ".join(machine.outputs) + "\n")
@@ -205,7 +218,8 @@ def load_model(path) -> MealyMachine:
     """Read and parse a model file from disk; a file that cannot be read,
     decoded or parsed raises a ValidationError naming the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValidationError(

@@ -117,6 +117,19 @@ def test_analyze_rejects_ambiguous_targets(capsys):
     assert "exactly one of --model" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--model", "alks_without", "--cmd", ""],
+     "exactly one of --model"),
+    (["estimate", "--model", "alks_without", "--endpoint", ""],
+     "exactly one of --model"),
+    (["analyze", "--cmd", ""], "command must name a program"),
+])
+def test_an_empty_target_flag_counts_as_given(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "-n", "3", "-L", "10")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_analyze_requires_exactly_one_mode(capsys):
     code, _, err = run_cli(capsys, "analyze", "--model", "alks_without",
                            "-n", "3")

@@ -1,10 +1,10 @@
-import itertools
+import re
 
 import pytest
 
 from pacreach.errors import ParseError, ValidationError
 from pacreach.mealy import MealyMachine, parse_model, serialize_model
-from pacreach.models import build_alks
+from pacreach.models import BUNDLED, build_alks, random_machine
 
 
 WTO = build_alks(with_assist=False)
@@ -217,10 +217,29 @@ safe: σ
     assert m.trace(["←", "→"]).safe
 
 
-def test_serialize_parse_round_trip_behaviour():
-    for machine in (WTO, WITH, parse_model(MINIMAL)):
-        again = parse_model(serialize_model(machine))
-        assert again.inputs == machine.inputs
-        for n in (1, 2, 3):
-            for seq in itertools.product(machine.inputs, repeat=n):
-                assert machine.trace(seq) == again.trace(seq)
+@pytest.mark.parametrize("machine", [
+    parse_model(MINIMAL), *(load() for load in BUNDLED.values()),
+    *(random_machine(states, inputs, 0.4, seed=states,
+                     absorbing_unsafe=states > 3)
+      for states, inputs in ((1, 1), (3, 2), (6, 3), (9, 5)))])
+def test_serialize_model_writes_text_that_parses_to_the_same_machine(machine):
+    assert parse_model(serialize_model(machine)) == machine
+
+
+def _one_state_machine(state="q", sym="a", out="o"):
+    return MealyMachine((state,), (sym,), (out,),
+                        {(state, sym): (state, out)}, state)
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("input", ""), ("input", "a b"), ("input", "a#"),
+    ("output", "o\tk"), ("output", "o#k"),
+    ("state", ""), ("state", "A:x"), ("state", "q\u2028"), ("state", "#q")])
+def test_serialize_model_refuses_a_name_the_text_form_cannot_carry(kind,
+                                                                   name):
+    machine = _one_state_machine(**{
+        {"input": "sym", "output": "out", "state": "state"}[kind]: name})
+    with pytest.raises(ValidationError,
+                       match=f"^{kind} {re.escape(repr(name))} has no text "
+                             f"form"):
+        serialize_model(machine)

@@ -35,6 +35,13 @@ def test_a_bundled_name_always_means_its_packaged_file(fname, tmp_path,
     assert resolve_model(stem) == packaged
 
 
+def test_a_model_file_with_a_byte_order_mark_loads(tmp_path):
+    path = tmp_path / "bom.machine"
+    path.write_bytes(b"\xef\xbb\xbf"
+                     + packaged_path("alks_without.machine").read_bytes())
+    assert load_model(path) == BUNDLED["alks_without"]()
+
+
 def test_lane_keeping_variants_differ_only_at_the_alarm_state():
     off, on = build_alks(False), build_alks(True)
     for (state, sym), dst in off.transitions.items():
